@@ -15,6 +15,11 @@ from .channel_model import ArrayGeometry
 from .pilot_system import PilotObservation, SwitchSchedule
 
 RANK_TOL = 1e-10
+# Correlations this close (relative) to a row's largest count as a tie, won
+# by the lowest atom index: aliased atoms differ only by rounding, and a
+# one-row product and a batched one round differently, so an exact argmax
+# would let the BLAS kernel choose between them.
+TIE_TOL = 1e-12
 
 
 @dataclass
@@ -58,10 +63,33 @@ def build_dictionary(
 @dataclass
 class OmpTrace:
     """Per-iteration diagnostics: chosen support and residual norms
-    (entry 0 is the initial ||y||, then one entry per accepted atom)."""
+    (entry 0 is the initial ||y||, then one entry per accepted atom).
 
-    support: list[int]
-    residual_norms: list[float]
+    For a row-matrix input both fields hold one such list per row."""
+
+    support: list
+    residual_norms: list
+
+
+def _as_rows(obs, width: int, what: str) -> tuple[np.ndarray, bool]:
+    """Observation(s) as a complex (rows, width) matrix, and whether the
+    input was a single observation (a batch of one)."""
+    y = obs.samples if isinstance(obs, PilotObservation) else np.asarray(obs)
+    if y.ndim not in (1, 2) or y.shape[-1] != width:
+        raise ValueError(
+            f"observation length {y.shape} does not match {what} {width}"
+        )
+    return np.atleast_2d(y).astype(complex), y.ndim == 1
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row conj(a) . b over the last axis; each row's value does not
+    depend on how many rows share the call."""
+    return (a.conj() * b).sum(axis=-1)
+
+
+def _row_norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
 
 
 def omp_estimate(
@@ -74,100 +102,118 @@ def omp_estimate(
     least-squares coefficients on the grown support, deflate the residual.
     The support system is kept orthogonal through an incrementally updated
     QR factorization; atoms that would make it numerically rank-deficient
-    (tolerance 1e-10) are dropped with a warning.
+    (tolerance 1e-10) are dropped with a warning.  Correlations within
+    ``TIE_TOL`` of the best tie, and the lowest atom index wins.  A row ends
+    early once its residual is exactly zero or every atom has been tried.
 
-    Returns the length-N estimate, or (estimate, OmpTrace) with
-    ``with_trace``.
+    ``obs`` is one observation ``(m,)`` or a row matrix ``(rows, m)``; the
+    rows run the greedy loop together (Batch OMP: one correlation GEMM per
+    step for every unfinished row), each with its own support and QR
+    factors.  Returns the length-N estimate (``(rows, N)`` for a row
+    matrix), or (estimate, OmpTrace) with ``with_trace``.
     """
-    y = obs.samples if isinstance(obs, PilotObservation) else np.asarray(obs)
-    y = y.astype(complex)
     m, n_atoms = dictionary.atoms.shape
-    if y.shape != (m,):
-        raise ValueError(
-            f"observation length {y.shape} does not match dictionary rows {m}"
-        )
+    y, single = _as_rows(obs, m, "dictionary rows")
     if sparsity < 0 or sparsity > n_atoms or sparsity > m:
         raise ValueError(
             f"sparsity {sparsity} must lie in [0, min(num_atoms={n_atoms}, "
             f"observations={m})]"
         )
 
-    atom_norms = np.linalg.norm(dictionary.atoms, axis=0)
+    rows = y.shape[0]
+    atom_norms = _row_norm(dictionary.atoms.T)
+    safe_norms = np.where(atom_norms > 0, atom_norms, 1.0)
     residual = y.copy()
-    support: list[int] = []
-    residual_norms = [float(np.linalg.norm(residual))]
-    q_cols: list[np.ndarray] = []
-    r_cols: list[np.ndarray] = []  # column k holds R[:k+1, k]
-    excluded = np.zeros(n_atoms, dtype=bool)
-    excluded[atom_norms == 0] = True
+    # Unused Q slots and R columns stay zero, so rows with different support
+    # sizes run the same arithmetic.
+    q = np.zeros((rows, sparsity, m), dtype=complex)
+    r = np.zeros((rows, sparsity, sparsity), dtype=complex)
+    support = np.zeros((rows, sparsity), dtype=int)
+    count = np.zeros(rows, dtype=int)
+    residual_norms = np.zeros((rows, sparsity + 1))
+    residual_norms[:, 0] = _row_norm(residual)
+    excluded = np.zeros((rows, n_atoms), dtype=bool)
+    excluded[:, atom_norms == 0] = True
+    active = np.flatnonzero(count < sparsity)
 
-    while len(support) < sparsity:
-        corr = np.abs(dictionary.atoms.conj().T @ residual)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = np.where(atom_norms > 0, corr / atom_norms, 0.0)
-        corr[excluded] = -1.0
-        best = int(np.argmax(corr))
-        if corr[best] <= 0.0:
-            break  # nothing correlated remains (e.g. zero observation)
-        excluded[best] = True
+    while active.size:
+        # |r^H a| per atom, with the conjugate on the small residual side.
+        corr = np.abs(residual[active].conj() @ dictionary.atoms) / safe_norms
+        corr[excluded[active]] = -1.0
+        peak = corr.max(axis=1)
+        best = np.argmax(corr >= (peak * (1.0 - TIE_TOL))[:, None], axis=1)
+        # An exactly-zero correlation on a nonzero residual is rounding (it
+        # comes and goes with the BLAS kernel), not a stop signal.
+        live = (peak >= 0.0) & (residual_norms[active, count[active]] > 0.0)
+        active, best = active[live], best[live]
+        excluded[active, best] = True
 
-        # Orthogonalize the new column against the current basis (two
-        # Gram-Schmidt passes for numerical robustness).
-        col = dictionary.atoms[:, best].astype(complex)
-        w = col.copy()
-        head = np.zeros(len(q_cols) + 1, dtype=complex)
+        # Orthogonalize each new column against its row's basis (two
+        # Gram-Schmidt passes for numerical robustness); slots past the
+        # largest support among these rows are zero and skipped.
+        basis = q[active, : count[active].max(initial=0)]
+        w = np.ascontiguousarray(dictionary.atoms[:, best].T, dtype=complex)
+        head = np.zeros((active.size, sparsity), dtype=complex)
         for _ in range(2):
-            for k, q in enumerate(q_cols):
-                proj = np.vdot(q, w)
-                head[k] += proj
-                w = w - proj * q
-        w_norm = np.linalg.norm(w)
-        if w_norm <= RANK_TOL * atom_norms[best]:
+            proj = _row_dot(basis, w[:, None, :])
+            head[:, : proj.shape[1]] += proj
+            w = w - (proj[:, :, None] * basis).sum(axis=1)
+        w_norm = _row_norm(w)
+        dropped = w_norm <= RANK_TOL * atom_norms[best]
+        for atom in best[dropped]:
             warnings.warn(
-                f"dropping atom {best}: support system would be rank-deficient",
+                f"dropping atom {atom}: support system would be rank-deficient",
                 stacklevel=2,
             )
-            continue
-        head[-1] = w_norm
-        q = w / w_norm
-        support.append(best)
-        q_cols.append(q)
-        r_cols.append(head)
-        residual = residual - np.vdot(q, residual) * q
-        residual_norms.append(float(np.linalg.norm(residual)))
+        keep = ~dropped
+        grow, best, slot = active[keep], best[keep], count[active[keep]]
+        new_q = w[keep] / w_norm[keep, None]
+        head = head[keep]
+        head[np.arange(grow.size), slot] = w_norm[keep]
+        q[grow, slot] = new_q
+        r[grow, :, slot] = head
+        support[grow, slot] = best
+        count[grow] += 1
+        residual[grow] -= _row_dot(new_q, residual[grow])[:, None] * new_q
+        residual_norms[grow, count[grow]] = _row_norm(residual[grow])
+        active = active[count[active] < sparsity]
 
-    estimate = np.zeros(dictionary.full_atoms.shape[0], dtype=complex)
-    if support:
-        k = len(support)
-        r = np.zeros((k, k), dtype=complex)
-        for j, col in enumerate(r_cols):
-            r[: j + 1, j] = col
-        qh_y = np.array([np.vdot(q, y) for q in q_cols])
-        coeffs = np.linalg.solve(r, qh_y)
-        estimate = dictionary.full_atoms[:, support] @ coeffs
-    if with_trace:
-        return estimate, OmpTrace(support, residual_norms)
-    return estimate
+    # Back-substitute R c = Q^H y; unused slots get identity rows of R and a
+    # zero right-hand side, so their coefficients are zero.
+    unused = np.arange(sparsity) >= count[:, None]
+    r[:, np.arange(sparsity), np.arange(sparsity)] += unused
+    rhs = _row_dot(q, y[:, None, :])
+    coeffs = np.zeros((rows, sparsity), dtype=complex)
+    for j in reversed(range(sparsity)):
+        tail = (r[:, j, j + 1:] * coeffs[:, j + 1:]).sum(axis=-1)
+        coeffs[:, j] = (rhs[:, j] - tail) / r[:, j, j]
+    estimate = (dictionary.full_atoms.T[support] * coeffs[:, :, None]).sum(axis=1)
+    estimate[count == 0] = 0.0
+
+    if not with_trace:
+        return estimate[0] if single else estimate
+    supports = [s[:c].tolist() for s, c in zip(support, count)]
+    norms = [n[: c + 1].tolist() for n, c in zip(residual_norms, count)]
+    if single:
+        return estimate[0], OmpTrace(supports[0], norms[0])
+    return estimate, OmpTrace(supports, norms)
 
 
 def ls_observed_estimate(obs, sched: SwitchSchedule, sigma2: float) -> np.ndarray:
     """Observed ports get their (revisit-averaged) samples scaled by the
     scalar shrinkage 1/(1 + sigma2) against unit per-port prior power;
-    unobserved ports fall back to the zero prior mean."""
-    y = obs.samples if isinstance(obs, PilotObservation) else np.asarray(obs)
-    y = y.astype(complex)
+    unobserved ports fall back to the zero prior mean.
+
+    ``obs`` is one observation ``(m,)`` or a row matrix ``(rows, m)``."""
     flat = sched.flat_indices()
-    if y.shape != (flat.size,):
-        raise ValueError(
-            f"observation length {y.shape} does not match schedule samples {flat.size}"
-        )
+    y, single = _as_rows(obs, flat.size, "schedule samples")
     if sigma2 < 0:
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
-    sums = np.zeros(sched.num_ports, dtype=complex)
+    sums = np.zeros((y.shape[0], sched.num_ports), dtype=complex)
     counts = np.zeros(sched.num_ports)
-    np.add.at(sums, flat, y)
+    np.add.at(sums, (slice(None), flat), y)
     np.add.at(counts, flat, 1.0)
-    estimate = np.zeros(sched.num_ports, dtype=complex)
+    estimate = np.zeros_like(sums)
     seen = counts > 0
-    estimate[seen] = (sums[seen] / counts[seen]) / (1.0 + sigma2)
-    return estimate
+    estimate[:, seen] = (sums[:, seen] / counts[seen]) / (1.0 + sigma2)
+    return estimate[0] if single else estimate

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,26 @@ class Seeds:
     def override(self, name: str, value: int) -> None:
         if not hasattr(self, name):
             raise ConfigError(f"unknown seed name '{name}'")
-        setattr(self, name, int(value))
+        setattr(self, name, _coerce(f"seeds.{name}", 0, value))
+
+
+def _coerce(name: str, default, value):
+    """``value`` as the type of ``default``, refusing lossy conversions: bool
+    fields take only bools, int fields take integral numbers but no bools,
+    float fields take any real number but no bools, str fields only str."""
+    kind = type(default)
+    is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = is_number and (isinstance(value, numbers.Integral) or float(value).is_integer())
+    elif kind is float:
+        ok = is_number
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass
@@ -150,12 +170,16 @@ class ExperimentConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key '{key}'")
             if key == "seeds":
+                if not isinstance(value, dict):
+                    raise ConfigError(f"seeds: expected an object, got {value!r}")
                 for seed_name, seed_value in value.items():
                     cfg.seeds.override(seed_name, seed_value)
             elif key == "snr_db_list":
-                cfg.snr_db_list = [float(v) for v in value]
+                if not isinstance(value, list):
+                    raise ConfigError(f"snr_db_list: expected a list, got {value!r}")
+                cfg.snr_db_list = [_coerce("snr_db_list", 0.0, v) for v in value]
             else:
-                setattr(cfg, key, type(getattr(cfg, key))(value))
+                setattr(cfg, key, _coerce(key, getattr(cfg, key), value))
         return cfg
 
     @classmethod

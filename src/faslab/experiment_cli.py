@@ -32,7 +32,7 @@ from .dataset_pipeline import (
     snr_stream_key,
     split,
 )
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDivergedError
 from .mlp_estimator import (
     Hyperparams,
     ensemble_nmse,
@@ -219,12 +219,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
 
         estimates = {
             "mlp": predict_batch(params, normalizers, pilots),
-            "omp": np.stack(
-                [omp_estimate(p, dictionary, sparsity) for p in pilots]
-            ),
-            "ls_observed": np.stack(
-                [ls_observed_estimate(p, schedule, sigma2) for p in pilots]
-            ),
+            "omp": omp_estimate(pilots, dictionary, sparsity),
+            "ls_observed": ls_observed_estimate(pilots, schedule, sigma2),
         }
         for name in ESTIMATORS:
             value = nmse_db(ensemble_nmse(estimates[name], channels))
@@ -386,7 +382,7 @@ def main(argv=None) -> int:
         elif args.command == "show-config":
             print(canonical_json(cfg))
         return 0
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

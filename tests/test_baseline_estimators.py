@@ -1,9 +1,12 @@
 """Tests for the greedy sparse estimator and the observed-port shrinkage."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from faslab.baseline_estimators import (
+    RANK_TOL,
     build_dictionary,
     ls_observed_estimate,
     omp_estimate,
@@ -14,6 +17,7 @@ from faslab.pilot_system import (
     SwitchSchedule,
     noise_variance_for_snr,
     observe,
+    random_schedule,
     sequential_schedule,
 )
 
@@ -135,6 +139,142 @@ class TestOmp:
             )
 
 
+def rank_drop_warnings(caught):
+    return sum("rank-deficient" in str(w.message) for w in caught)
+
+
+def loop_omp(y, dictionary, sparsity):
+    """Reference: the one-row greedy loop (modified Gram-Schmidt, exact
+    argmax) that the batched implementation replaced, with a least-squares
+    refit on the final support.  Returns (support, estimate)."""
+    atoms = dictionary.atoms
+    norms = np.linalg.norm(atoms, axis=0)
+    residual = y.astype(complex)
+    support, basis = [], []
+    excluded = norms == 0
+    while len(support) < sparsity:
+        corr = np.abs(atoms.conj().T @ residual) / np.where(norms > 0, norms, 1.0)
+        corr[excluded] = -1.0
+        best = int(np.argmax(corr))
+        if corr[best] <= 0.0:
+            break
+        excluded[best] = True
+        w = atoms[:, best].astype(complex)
+        for _ in range(2):
+            for q in basis:
+                w = w - np.vdot(q, w) * q
+        if np.linalg.norm(w) <= RANK_TOL * norms[best]:
+            continue
+        q = w / np.linalg.norm(w)
+        support.append(best)
+        basis.append(q)
+        residual = residual - np.vdot(q, residual) * q
+    coeffs, *_ = np.linalg.lstsq(atoms[:, support], y, rcond=None)
+    return support, dictionary.full_atoms[:, support] @ coeffs
+
+
+@pytest.mark.parametrize("kind", ["sequential", "random"])
+def test_batch_omp_matches_loop_reference(kind):
+    # Desk sweep shapes: 64 ports, 4x oversampled dictionary, sparsity 4;
+    # the random schedule revisits ports.
+    geometry = ArrayGeometry(64, 10.0)
+    rng = np.random.default_rng(8)
+    sched = (
+        sequential_schedule(64, 4, 16) if kind == "sequential"
+        else random_schedule(64, 4, 16, rng)
+    )
+    dictionary = build_dictionary(geometry, sched, 256)
+    scattering = ScatteringConfig(2, 10, np.radians(5))
+    rows = []
+    for key, snr_db in enumerate((-10.0, 10.0)):
+        for i in range(60):
+            stream = np.random.default_rng((41, key, i))
+            h = draw_channel(scattering, geometry, stream)
+            rows.append(observe(h, sched, noise_variance_for_snr(snr_db), stream).samples)
+    rows = np.stack(rows)
+    batch, trace = omp_estimate(rows, dictionary, 4, with_trace=True)
+    for i, y in enumerate(rows):
+        support, estimate = loop_omp(y, dictionary, 4)
+        assert trace.support[i] == support, f"row {i}"
+        assert np.linalg.norm(batch[i] - estimate) <= 1e-10 * np.linalg.norm(estimate)
+
+
+class TestOmpBatch:
+    """A row matrix runs the same greedy loop as one call per row."""
+
+    def setup_method(self):
+        # Integer port spacing (d/lambda = 1) aliases every grid atom at
+        # cos = c onto the one at c + 1, as in the rank-deficient case above:
+        # once a row's support spans the observed ports, every remaining
+        # pick is collinear and dropped.  The random schedule revisits ports
+        # (16 samples over 8 ports), and sparsity 10 exceeds that rank.
+        self.geometry = ArrayGeometry(8, 7.0)
+        self.sched = random_schedule(8, 2, 8, np.random.default_rng(3))
+        self.dictionary = build_dictionary(self.geometry, self.sched, 16)
+        self.sparsity = 10
+        scattering = ScatteringConfig(2, 10, np.radians(5))
+        sigma2 = noise_variance_for_snr(5.0)
+        rows = []
+        for i in range(220):
+            rng = np.random.default_rng((31, i))
+            h = draw_channel(scattering, self.geometry, rng)
+            rows.append(observe(h, self.sched, sigma2, rng).samples)
+        rows.insert(17, np.zeros(self.sched.num_samples, complex))
+        self.rows = np.stack(rows)
+
+    def test_batch_matches_one_row_calls(self):
+        assert len(np.unique(self.sched.flat_indices())) < self.sched.num_samples
+        assert np.allclose(self.dictionary.atoms[:, 0], self.dictionary.atoms[:, 8])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch, trace = omp_estimate(
+                self.rows, self.dictionary, self.sparsity, with_trace=True
+            )
+        batch_drops = rank_drop_warnings(caught)
+        assert batch.shape == (len(self.rows), self.geometry.num_ports)
+        assert len(trace.support) == len(trace.residual_norms) == len(self.rows)
+
+        row_drops = 0
+        for i, y in enumerate(self.rows):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                est, row_trace = omp_estimate(
+                    y, self.dictionary, self.sparsity, with_trace=True
+                )
+            row_drops += rank_drop_warnings(caught)
+            assert trace.support[i] == row_trace.support, f"row {i}"
+            assert trace.residual_norms[i] == row_trace.residual_norms, f"row {i}"
+            scale = max(np.linalg.norm(est), 1e-300)
+            assert np.linalg.norm(batch[i] - est) <= 1e-10 * scale, f"row {i}"
+
+        # Sparsity exceeds the rank, so each nonzero row tries every atom:
+        # the atoms outside its support are exactly the dropped ones.
+        n_atoms = self.dictionary.atoms.shape[1]
+        dropped = sum(
+            n_atoms - len(s) for s, y in zip(trace.support, self.rows) if y.any()
+        )
+        assert batch_drops == row_drops == dropped > 0
+
+    def test_two_atom_aliased_case_in_a_batch(self):
+        # The two-sample case of test_rank_deficient_atoms_dropped_with_warning,
+        # twice, around a zero row: one drop (and warning) per nonzero row.
+        sched = SwitchSchedule(np.array([[0], [1]]), 4)
+        dictionary = build_dictionary(ArrayGeometry(4, 3.0), sched, 2)
+        y = np.array([1.0 + 0.2j, 0.3])
+        rows = np.stack([y, np.zeros(2, complex), 2 * y])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est, trace = omp_estimate(rows, dictionary, 2, with_trace=True)
+        assert rank_drop_warnings(caught) == 2
+        assert [len(s) for s in trace.support] == [1, 0, 1]
+        assert np.all(np.isfinite(est))
+        assert np.array_equal(est[1], np.zeros(4, complex))
+
+    def test_row_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="observation length"):
+            omp_estimate(self.rows[:, :-1], self.dictionary, 3)
+
+
 class TestLsObserved:
     def test_noiseless_full_coverage_identity(self):
         geometry = ArrayGeometry(16, 4.0)
@@ -193,3 +333,10 @@ class TestLsObserved:
         sched = sequential_schedule(8, 2, 2)
         with pytest.raises(ValueError, match="length"):
             ls_observed_estimate(np.zeros(5, complex), sched, 0.0)
+
+    def test_row_matrix_matches_row_calls_bitwise(self):
+        sched = SwitchSchedule(np.array([[0, 2], [2, 1], [0, 3], [0, 1]]), 6)
+        rows = np.random.default_rng(4).standard_normal((30, 8, 2)) @ [1, 1j]
+        batch = ls_observed_estimate(rows, sched, 0.3)
+        single = np.stack([ls_observed_estimate(y, sched, 0.3) for y in rows])
+        assert batch.tobytes() == single.tobytes()

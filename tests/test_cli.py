@@ -103,6 +103,52 @@ class TestConfigValidation:
             ExperimentConfig.from_dict({"seeds": {"bogus": 1}})
 
 
+class TestStrictOverlay:
+    """The overlay refuses values that would change meaning on conversion."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mixed_snr", "false"),
+            ("mixed_snr", 0),
+            ("num_ports", 64.9),
+            ("num_ports", "64"),
+            ("hidden_width", True),
+            ("learning_rate", True),
+            ("learning_rate", "1e-3"),
+            ("schedule_kind", 3),
+            ("snr_db_list", [0.0, True]),
+            ("snr_db_list", ["5"]),
+            ("snr_db_list", 5.0),
+        ],
+    )
+    def test_lossy_value_rejected_naming_field(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("value", [1.5, True, "7"])
+    def test_bad_seed_rejected_naming_seed(self, value):
+        with pytest.raises(ConfigError, match="seeds.channel"):
+            ExperimentConfig.from_dict({"seeds": {"channel": value}})
+
+    def test_exact_conversions_accepted(self):
+        cfg = ExperimentConfig.from_dict({
+            "num_ports": 64.0, "learning_rate": 1, "mixed_snr": False,
+            "snr_db_list": [-5, 2.5], "seeds": {"test": 9.0},
+        })
+        assert cfg.num_ports == 64 and type(cfg.num_ports) is int
+        assert cfg.learning_rate == 1.0 and type(cfg.learning_rate) is float
+        assert cfg.mixed_snr is False
+        assert cfg.snr_db_list == [-5.0, 2.5]
+        assert cfg.seeds.test == 9 and type(cfg.seeds.test) is int
+
+    def test_cli_reports_rejected_field(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"num_ports": 64.9}))
+        assert main(["show-config", "--config", str(cfg_file)]) == 1
+        assert "num_ports" in capsys.readouterr().err
+
+
 class TestConfigSerialization:
     def test_canonical_round_trip(self):
         cfg = desk_profile()
@@ -313,6 +359,30 @@ class TestMainEntry:
         rc = main(["generate", "--config", str(cfg_file)])
         assert rc == 1
         assert "rho" in capsys.readouterr().err
+
+    def test_training_divergence_exits_nonzero(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "num_ports": 16, "num_antennas": 2, "num_slots": 8,
+            "num_clusters": 1, "rays_per_cluster": 2,
+            "n_train_samples": 80, "snr_db_list": [0.0], "hidden_width": 8,
+            "batch_size": 16, "max_epochs": 50, "patience": 50,
+            # Adam steps are bounded by lr, so overflow needs lr^3 past float64.
+            "learning_rate": 1e150,
+            "dataset_dir": str(tmp_path / "d"),
+            "model_dir": str(tmp_path / "m"),
+            "results_dir": str(tmp_path / "r"),
+        }))
+        assert main(["generate", "--config", str(cfg_file), "--profile", "desk"]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main([
+                "train", "--config", str(cfg_file), "--profile", "desk",
+                "--dataset", str(tmp_path / "d" / "snr+0.0dB.fasd"),
+            ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite training loss at epoch")
+        assert not (tmp_path / "m").exists()
 
     def test_seed_override_flag(self, tmp_path, capsys):
         rc = main([

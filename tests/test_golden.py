@@ -1,0 +1,86 @@
+"""Golden artifact bytes: SHA-256 of every file the quick start writes.
+
+Two tiny fixed desk configs run generate -> train -> sweep; the digests of
+the FASD, FASM, convergence CSV and sweep CSV files were recorded once and
+must not move.  A refactor or speed-up that changes one of them changed
+the artifacts.  Floating-point results can differ across numpy/BLAS builds,
+so the failure message names the numpy version that ran.  Never re-record
+these digests to make a change pass.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from faslab.config import desk_profile
+from faslab.experiment_cli import cmd_generate, cmd_sweep, cmd_train
+
+RECORDED_WITH_NUMPY = "2.4.6"
+
+
+def golden_config(tmp_path, **overrides):
+    fields = dict(
+        num_ports=32,
+        num_slots=8,
+        n_train_samples=300,
+        hidden_width=16,
+        batch_size=32,
+        max_epochs=4,
+        snr_db_list=[-10.0, 10.0],
+        n_test_samples=60,
+        dataset_dir=str(tmp_path / "datasets"),
+        model_dir=str(tmp_path / "models"),
+        results_dir=str(tmp_path / "results"),
+    )
+    fields.update(overrides)
+    return replace(desk_profile(), **fields)
+
+
+# Sequential full coverage with one model per SNR, and a random schedule
+# that revisits ports (48 samples over 32 ports) with one mixed-SNR model.
+CONFIGS = {
+    "sequential": {},
+    "random_mixed": {"schedule_kind": "random", "num_slots": 12, "mixed_snr": True},
+}
+
+GOLDEN = {
+    "sequential": {
+        "snr-10.0dB.fasd": "a1da6c75b78e956c01244c1ef969a3fb7b9ba1173bed2d51340b2a0cf82f75c4",
+        "snr-10.0dB.fasm": "2df5184e925c909a6d6e53a5bd2591d06c99350e68c2f8a17994ce15884f0d8b",
+        "convergence_snr-10.0dB.csv": "1d24418b19e9101176f988e98dfb6cdf36913e50c015143973b780374cba4f8e",
+        "snr+10.0dB.fasd": "85616a077604deaf8a7bad0a2b0a9def250b20058ffd2e4717c23beca386a050",
+        "snr+10.0dB.fasm": "c535d1932a1da9b50ab4e0105ef080bc82ea55b192a80b6cebda55a9a9ca277e",
+        "convergence_snr+10.0dB.csv": "6fdc0e4d5e18bfa7f19692c26f0b22af79b93221440debf3d319bc705444727c",
+        "sweep.csv": "df73259422513e8fcd2abe0e134d0523f6a528c1823bc80a3ab24621b10163fc",
+    },
+    "random_mixed": {
+        "snr_mixed.fasd": "d48019b3eff30d8816f4a3188e04b11c13fab65df5d47e17a92d99f398d39779",
+        "snr_mixed.fasm": "d333f2de635fadaf78f731e6d689b0b7e970e56ebc6489face31f2d6ce4d539f",
+        "convergence_snr_mixed.csv": "b97e674bccbb40d3e1882ba241d2f49d9e12e1dc3ad7cf2f55c61887232d643a",
+        "sweep.csv": "336ff9d805af2799e367bb7fd8abf1e176c0a2b17cf5b5907a6ed3f4f36c79e8",
+    },
+}
+
+
+def run_pipeline(cfg):
+    """All artifact bytes of one quick-start round, keyed by file name."""
+    files = []
+    for dataset_file in cmd_generate(cfg):
+        files.append(dataset_file)
+        files.extend(cmd_train(cfg, dataset_file))
+    files.append(cmd_sweep(cfg))
+    return {path.name: path.read_bytes() for path in files}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifact_digests_pinned(tmp_path, name):
+    artifacts = run_pipeline(golden_config(tmp_path, **CONFIGS[name]))
+    digests = {
+        fname: hashlib.sha256(data).hexdigest() for fname, data in artifacts.items()
+    }
+    assert digests == GOLDEN[name], (
+        f"artifact bytes of the '{name}' golden config changed (running numpy "
+        f"{np.__version__}; digests recorded with numpy {RECORDED_WITH_NUMPY})"
+    )
