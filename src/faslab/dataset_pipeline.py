@@ -8,6 +8,7 @@ normalization-agnostic.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -228,6 +229,21 @@ def invert_normalizer(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
     return _check_width(nrm, matrix) * nrm.scale() + nrm.mean
 
 
+def read_file_aligned(path, data_offset: int, align: int = 8) -> memoryview:
+    """The bytes of ``path`` in a new writable buffer, placed so that byte
+    ``data_offset`` of the file is ``align``-byte aligned in memory.
+
+    ``np.frombuffer`` views from that offset on are then aligned arrays over
+    the buffer, so a loader needs no copies.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size + align)
+        pad = -(np.frombuffer(buf, dtype=np.uint8).ctypes.data + data_offset) % align
+        view = memoryview(buf)[pad : pad + size]
+        return view[: fh.readinto(view)]
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Bit-exact binary format: fixed header, fingerprint, payload checksum,
     then features and targets as little-endian float32, row-major."""
@@ -243,48 +259,48 @@ def save_dataset(ds: Dataset, path) -> None:
         feat.shape[1],
         tgt.shape[1],
     )
-    payload = feat.tobytes() + tgt.tobytes()
-    checksum = hashlib.sha256(payload).digest()
+    digest = hashlib.sha256(feat)
+    digest.update(tgt)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(ds.config_fingerprint)
-        fh.write(checksum)
-        fh.write(payload)
+        fh.write(digest.digest())
+        fh.write(feat)
+        fh.write(tgt)
 
 
 def load_dataset(path, expected_fingerprint: bytes | None = None) -> Dataset:
     """Inverse of :func:`save_dataset` with integrity checks.
 
     A fingerprint differing from ``expected_fingerprint`` warns (the file is
-    still usable); corrupt or truncated payloads raise ChecksumError.
+    still usable); corrupt or truncated payloads raise ChecksumError.  The
+    features and targets are writable views over one buffer holding the
+    file, not copies.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size + 64:
+    offset = _HEADER.size + 64
+    raw = read_file_aligned(path, offset)
+    if len(raw) < offset:
         raise FileFormatError(f"{path}: file too short for a dataset header")
-    magic, version, n_ports, n_ant, n_slots, n_samples, feat_w, tgt_w = _HEADER.unpack(
-        raw[: _HEADER.size]
+    magic, version, n_ports, n_ant, n_slots, n_samples, feat_w, tgt_w = _HEADER.unpack_from(
+        raw
     )
     if magic != MAGIC:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    offset = _HEADER.size
-    fingerprint = raw[offset : offset + 32]
-    checksum = raw[offset + 32 : offset + 64]
-    payload = raw[offset + 64 :]
+    fingerprint = bytes(raw[_HEADER.size : _HEADER.size + 32])
+    checksum = raw[_HEADER.size + 32 : offset]
+    payload = raw[offset:]
     expected_bytes = 4 * n_samples * (feat_w + tgt_w)
     if len(payload) != expected_bytes or hashlib.sha256(payload).digest() != checksum:
         raise ChecksumError(f"{path}: payload checksum mismatch (corrupt or truncated)")
-    feat_bytes = 4 * n_samples * feat_w
-    features = np.frombuffer(payload[:feat_bytes], dtype="<f4").reshape(n_samples, feat_w)
-    targets = np.frombuffer(payload[feat_bytes:], dtype="<f4").reshape(n_samples, tgt_w)
+    n_feat = n_samples * feat_w
+    features = np.frombuffer(payload, dtype="<f4", count=n_feat).reshape(n_samples, feat_w)
+    targets = np.frombuffer(payload, dtype="<f4", offset=4 * n_feat).reshape(n_samples, tgt_w)
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         warnings.warn(
             f"{path}: dataset fingerprint does not match the requesting "
             "configuration; proceeding anyway",
             stacklevel=2,
         )
-    return Dataset(
-        features.copy(), targets.copy(), fingerprint, n_ports, n_ant, n_slots
-    )
+    return Dataset(features, targets, fingerprint, n_ports, n_ant, n_slots)

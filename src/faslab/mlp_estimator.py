@@ -10,6 +10,8 @@ storage.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -22,6 +24,7 @@ from .dataset_pipeline import (
     fit_normalizer,
     invert_normalizer,
     pack_complex,
+    read_file_aligned,
     unpack_complex,
 )
 from .errors import ChecksumError, FileFormatError, TrainingDivergedError
@@ -32,35 +35,71 @@ MODEL_MAGIC = b"FASM"
 MODEL_VERSION = 1
 
 
-@dataclass
-class MlpParams:
-    """Weights and biases; w1: (H, D_in), w2: (H, H), w3: (D_out, H)."""
+def _param_shapes(d_in: int, hidden: int, d_out: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of w1, b1, w2, b2, w3, b3, in that (FASM) order."""
+    return ((hidden, d_in), (hidden,), (hidden, hidden), (hidden,), (d_out, hidden), (d_out,))
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+
+class MlpParams:
+    """Weights and biases; w1: (H, D_in), w2: (H, H), w3: (D_out, H).
+
+    The six fields are views into one contiguous float64 vector ``flat``
+    holding w1, b1, w2, b2, w3, b3 back to back, row-major: the parameter
+    block of a FASM file.  Writing through a field writes ``flat``; the
+    fields cannot be rebound.  Gradients and Adam moments use the same
+    container.  The constructor copies its six arrays into a new buffer;
+    :meth:`from_flat` wraps an existing one.
+    """
+
+    __slots__ = ("flat", "_fields")
+
+    def __init__(self, w1, b1, w2, b2, w3, b3):
+        arrays = [np.asarray(a, dtype=float) for a in (w1, b1, w2, b2, w3, b3)]
+        if arrays[0].ndim != 2 or arrays[4].ndim != 2:
+            raise ValueError("w1 and w3 must be 2-D matrices")
+        (hidden, d_in), d_out = arrays[0].shape, arrays[4].shape[0]
+        shapes = _param_shapes(d_in, hidden, d_out)
+        self._bind(np.empty(sum(math.prod(s) for s in shapes)), shapes)
+        for name, view, array in zip(_PARAM_FIELDS, self._fields, arrays):
+            if array.shape != view.shape:
+                raise ValueError(f"{name} has shape {array.shape}, expected {view.shape}")
+            view[...] = array
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, d_in: int, hidden: int, d_out: int) -> "MlpParams":
+        """Field views over ``flat`` itself (no copy), laid out for the dims."""
+        params = cls.__new__(cls)
+        params._bind(flat, _param_shapes(d_in, hidden, d_out))
+        return params
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        sizes = [math.prod(s) for s in shapes]
+        if flat.ndim != 1 or flat.size != sum(sizes):
+            raise ValueError(
+                f"flat buffer of shape {flat.shape} does not hold {sum(sizes)} parameters"
+            )
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        self.flat = flat
+        self._fields = tuple(
+            flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)
+        )
+
+    w1 = property(lambda self: self._fields[0])
+    b1 = property(lambda self: self._fields[1])
+    w2 = property(lambda self: self._fields[2])
+    b2 = property(lambda self: self._fields[3])
+    w3 = property(lambda self: self._fields[4])
+    b3 = property(lambda self: self._fields[5])
 
     def dims(self) -> tuple[int, int, int]:
         """(input width, hidden width, output width)."""
         return self.w1.shape[1], self.w1.shape[0], self.w3.shape[0]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(*(getattr(self, f).copy() for f in _PARAM_FIELDS))
+        return MlpParams.from_flat(self.flat.copy(), *self.dims())
 
-
-@dataclass
-class MlpGrads:
-    """Loss gradients, one array per parameter, same shapes as MlpParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
+    def zeros_like(self) -> "MlpParams":
+        return MlpParams.from_flat(np.zeros_like(self.flat), *self.dims())
 
 
 def init_params(d_in: int, hidden: int, d_out: int, rng: np.random.Generator) -> MlpParams:
@@ -82,91 +121,147 @@ def init_params(d_in: int, hidden: int, d_out: int, rng: np.random.Generator) ->
     return MlpParams(w1, np.zeros(hidden), w2, np.zeros(hidden), w3, np.zeros(d_out))
 
 
-@dataclass
 class ForwardCache:
-    """Intermediate activations retained for the backward pass."""
+    """Activations of the last forward pass through it, kept for backward.
 
-    x: np.ndarray
-    z1: np.ndarray
-    a1: np.ndarray
-    z2: np.ndarray
-    a2: np.ndarray
-    single: bool
-    params: MlpParams
+    ``x``, ``z1``, ``a1``, ``z2``, ``a2`` and the output are leading-row views
+    of buffers sized for the largest batch so far, so handing the cache back
+    to :func:`forward` reuses them: the next pass through the same cache
+    overwrites the previous one's output.  :func:`backward` keeps its scratch
+    here too.
+    """
+
+    def __init__(self):
+        self.x = self.z1 = self.a1 = self.z2 = self.a2 = None
+        self.single = False
+        self.params = None
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def _rows(self, name: str, rows: int, width: int, dtype=float) -> np.ndarray:
+        """The first ``rows`` rows of the named buffer, grown if too small."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
+            buf = self._buffers[name] = np.empty((rows, width), dtype=dtype)
+        return buf[:rows]
 
 
-def forward(params: MlpParams, x: np.ndarray):
+def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None):
     """y = w3 @ relu(w2 @ relu(w1 @ x + b1) + b2) + b3.
 
     Accepts a single input vector (D_in,) or a batch (B, D_in); the output
-    matches the input's batch shape.  Returns (y, cache).
+    matches the input's batch shape.  Returns (y, cache).  Passing the cache
+    of an earlier call reuses its buffers, and the returned y is then
+    overwritten by the next pass through that cache.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xb = x[None, :] if single else x
-    d_in, _, _ = params.dims()
+    d_in, hidden, d_out = params.dims()
     if xb.ndim != 2 or xb.shape[1] != d_in:
         raise ValueError(f"input width {x.shape} does not match d_in={d_in}")
-    z1 = xb @ params.w1.T + params.b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ params.w2.T + params.b2
-    a2 = np.maximum(z2, 0.0)
-    y = a2 @ params.w3.T + params.b3
-    cache = ForwardCache(xb, z1, a1, z2, a2, single, params)
+    if cache is None:
+        cache = ForwardCache()
+    rows = xb.shape[0]
+    z1, a1, z2, a2 = (cache._rows(name, rows, hidden) for name in ("z1", "a1", "z2", "a2"))
+    y = cache._rows("y", rows, d_out)
+    np.matmul(xb, params.w1.T, out=z1)
+    z1 += params.b1
+    np.maximum(z1, 0.0, out=a1)
+    np.matmul(a1, params.w2.T, out=z2)
+    z2 += params.b2
+    np.maximum(z2, 0.0, out=a2)
+    np.matmul(a2, params.w3.T, out=y)
+    y += params.b3
+    cache.x, cache.z1, cache.a1, cache.z2, cache.a2 = xb, z1, a1, z2, a2
+    cache.single, cache.params = single, params
     return (y[0] if single else y), cache
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray):
+def mse_loss(pred: np.ndarray, target: np.ndarray, out: np.ndarray | None = None):
     """Mean over all entries of the squared difference, and its gradient
-    2*(pred - target)/count with respect to the prediction."""
+    2*(pred - target)/count with respect to the prediction.
+
+    The gradient is written into ``out`` when it is given (pred's shape);
+    the squares are formed there first, so no array is allocated.
+    """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = pred - target
-    loss = float(np.mean(diff**2))
-    grad = 2.0 * diff / diff.size
+    if out is None:
+        out = np.empty_like(pred)
+    np.square(np.subtract(pred, target, out=out), out=out)
+    loss = float(np.mean(out))
+    grad = np.subtract(pred, target, out=out)
+    grad *= 2.0
+    grad /= grad.size
     return loss, grad
 
 
-def backward(params: MlpParams, cache: ForwardCache, d_out: np.ndarray) -> MlpGrads:
+def backward(
+    params: MlpParams, cache: ForwardCache, d_out: np.ndarray, out: MlpParams | None = None
+) -> MlpParams:
     """Exact reverse-mode gradients of the forward pass.
 
     ``d_out`` is the loss gradient at the output, matching the forward's
     output shape.  The ReLU subgradient at exactly zero is taken as zero.
+    The gradients are written into ``out`` when it is given (a net of the
+    same dims, reused across steps) and returned.
     """
     if cache.params is not params:
         raise ValueError("cache was produced by a different parameter set")
     d_out = np.asarray(d_out, dtype=float)
     dy = d_out[None, :] if cache.single else d_out
-    if dy.shape != (cache.x.shape[0], params.w3.shape[0]):
+    rows = cache.x.shape[0]
+    if dy.shape != (rows, params.w3.shape[0]):
         raise ValueError(
             f"upstream gradient shape {d_out.shape} does not match forward output"
         )
-    gw3 = dy.T @ cache.a2
-    gb3 = dy.sum(axis=0)
-    da2 = dy @ params.w3
-    dz2 = da2 * (cache.z2 > 0)
-    gw2 = dz2.T @ cache.a1
-    gb2 = dz2.sum(axis=0)
-    da1 = dz2 @ params.w2
-    dz1 = da1 * (cache.z1 > 0)
-    gw1 = dz1.T @ cache.x
-    gb1 = dz1.sum(axis=0)
-    return MlpGrads(gw1, gb1, gw2, gb2, gw3, gb3)
+    if out is None:
+        out = params.zeros_like()
+    elif out.dims() != params.dims():
+        raise ValueError(f"gradient buffer {out.dims()} does not match {params.dims()}")
+    hidden = params.w2.shape[0]
+    dz2, dz1 = cache._rows("dz2", rows, hidden), cache._rows("dz1", rows, hidden)
+    mask = cache._rows("mask", rows, hidden, dtype=bool)
+    np.matmul(dy.T, cache.a2, out=out.w3)
+    np.sum(dy, axis=0, out=out.b3)
+    np.matmul(dy, params.w3, out=dz2)
+    # Multiply by the mask rather than zero through it: inf * 0 must stay NaN.
+    np.multiply(dz2, np.greater(cache.z2, 0, out=mask), out=dz2)
+    np.matmul(dz2.T, cache.a1, out=out.w2)
+    np.sum(dz2, axis=0, out=out.b2)
+    np.matmul(dz2, params.w2, out=dz1)
+    np.multiply(dz1, np.greater(cache.z1, 0, out=mask), out=dz1)
+    np.matmul(dz1.T, cache.x, out=out.w1)
+    np.sum(dz1, axis=0, out=out.b1)
+    return out
+
+
+# Elements per in-place Adam block: 256 KiB per operand, so the scratch and
+# the block's slices of the parameters, gradients and moments stay in cache.
+_ADAM_BLOCK = 32768
 
 
 @dataclass
 class AdamState:
     """Optimizer moments plus hyper-constants; step_count grows by 1 per update."""
 
-    first_moment: MlpGrads
-    second_moment: MlpGrads
+    first_moment: MlpParams
+    second_moment: MlpParams
     step_count: int
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-8
+    # adam_step's scratch, so that an update allocates nothing.
+    _finite: np.ndarray = field(init=False, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        size = self.first_moment.flat.size
+        self._finite = np.empty(size, dtype=bool)
+        self._scratch = np.empty((2, min(size, _ADAM_BLOCK)))
 
     @classmethod
     def for_params(
@@ -177,31 +272,47 @@ class AdamState:
         beta2: float = 0.999,
         eps_hat: float = 1e-8,
     ) -> "AdamState":
-        zeros = lambda: MlpGrads(
-            *(np.zeros_like(getattr(params, f)) for f in _PARAM_FIELDS)
+        return cls(
+            params.zeros_like(), params.zeros_like(), 0, learning_rate, beta1, beta2, eps_hat
         )
-        return cls(zeros(), zeros(), 0, learning_rate, beta1, beta2, eps_hat)
 
 
-def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState):
-    """One bias-corrected Adam update, in place; returns (params, state)."""
-    for name in _PARAM_FIELDS:
-        if not np.all(np.isfinite(getattr(grads, name))):
-            raise ValueError(f"non-finite gradient in {name}")
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
+    """One bias-corrected Adam update, in place; returns (params, state).
+
+    Walks ``flat`` in blocks through the state's two scratch vectors, so no
+    array is allocated.  Each element sees the same operations in the same
+    order as the whole-array form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-identical.
+    """
+    moments = (state.first_moment, state.second_moment)
+    if not params.dims() == grads.dims() == moments[0].dims() == moments[1].dims():
+        raise ValueError("parameters, gradients and moments differ in dims")
+    if not np.isfinite(grads.flat, out=state._finite).all():
+        for name in _PARAM_FIELDS:
+            if not np.all(np.isfinite(getattr(grads, name))):
+                raise ValueError(f"non-finite gradient in {name}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name in _PARAM_FIELDS:
-        g = getattr(grads, name)
-        m = getattr(state.first_moment, name)
-        v = getattr(state.second_moment, name)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps_hat)
-        getattr(params, name)[...] -= state.learning_rate * update
+    beta1, beta2 = state.beta1, state.beta2
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    theta, grad = params.flat, grads.flat
+    first, second = (moment.flat for moment in moments)
+    for lo in range(0, theta.size, _ADAM_BLOCK):
+        block = slice(lo, lo + _ADAM_BLOCK)
+        g, m, v, p = grad[block], first[block], second[block], theta[block]
+        a, b = state._scratch[:, : g.size]
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=a)
+        v *= beta2
+        v += np.multiply(1.0 - beta2, np.square(g, out=a), out=a)
+        np.divide(m, bc1, out=a)
+        np.sqrt(np.divide(v, bc2, out=b), out=b)
+        b += state.eps_hat
+        a /= b
+        a *= state.learning_rate
+        p -= a
     return params, state
 
 
@@ -381,6 +492,14 @@ def train(
     best_nmse = np.inf
     best_params = params.copy()
     n = train_ds.n_samples
+    # Buffers reused by every step and epoch: the batch, the loss gradient,
+    # the parameter gradients and the activations (in the forward caches).
+    batch = min(hyper.batch_size, n)
+    x_batch = np.empty((batch, d_in))
+    t_batch = np.empty((batch, d_out))
+    d_batch = np.empty((batch, d_out))
+    grads = params.zeros_like()
+    cache = val_cache = None
 
     for epoch in range(1, hyper.max_epochs + 1):
         perm = shuffle_rng.permutation(n)
@@ -388,19 +507,21 @@ def train(
         entry_count = 0
         for start in range(0, n, hyper.batch_size):
             idx = perm[start : start + hyper.batch_size]
-            xb = x_train[idx]
-            tb = t_train[idx]
-            pred, cache = forward(params, xb)
-            loss, dloss = mse_loss(pred, tb)
+            # The indices are in range; mode="clip" lets take write `out`
+            # directly instead of through a temporary.
+            xb = np.take(x_train, idx, axis=0, out=x_batch[: idx.size], mode="clip")
+            tb = np.take(t_train, idx, axis=0, out=t_batch[: idx.size], mode="clip")
+            pred, cache = forward(params, xb, cache)
+            loss, dloss = mse_loss(pred, tb, out=d_batch[: idx.size])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            grads = backward(params, cache, dloss)
+            backward(params, cache, dloss, out=grads)
             adam_step(params, grads, state)
             sq_err_sum += loss * pred.size
             entry_count += pred.size
         report.train_loss.append(sq_err_sum / entry_count)
 
-        val_pred, _ = forward(params, x_val)
+        val_pred, val_cache = forward(params, x_val, val_cache)
         h_hat = _rows_to_complex(invert_normalizer(tgt_nrm, val_pred))
         val_nmse = ensemble_nmse(h_hat, h_val)
         report.val_nmse.append(val_nmse)
@@ -409,7 +530,7 @@ def train(
 
         if val_nmse < best_nmse:
             best_nmse = val_nmse
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             report.best_epoch = epoch
         elif epoch - report.best_epoch > hyper.patience:
             report.stopped_early = True
@@ -464,59 +585,62 @@ def save_model(path, params: MlpParams, normalizers: Normalizers) -> None:
     d_in, hidden, d_out = params.dims()
     if normalizers.features.width != d_in or normalizers.targets.width != d_out:
         raise ValueError("normalizer widths do not match parameter dims")
-    blob = bytearray()
-    blob += _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d_in, hidden, d_out)
-    blob += struct.pack("<dd", normalizers.features.epsilon, normalizers.targets.epsilon)
+    pieces = [
+        _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, d_in, hidden, d_out),
+        struct.pack("<dd", normalizers.features.epsilon, normalizers.targets.epsilon),
+    ]
     for vec in (
         normalizers.features.mean,
         normalizers.features.std,
         normalizers.targets.mean,
         normalizers.targets.std,
+        params.flat,
     ):
-        blob += np.ascontiguousarray(vec, dtype="<f8").tobytes()
-    for name in _PARAM_FIELDS:
-        blob += np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
-    checksum = hashlib.sha256(bytes(blob)).digest()
+        pieces.append(np.ascontiguousarray(vec, dtype="<f8"))
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
-        fh.write(checksum)
+        for piece in pieces:
+            digest.update(piece)
+            fh.write(piece)
+        fh.write(digest.digest())
 
 
 def load_model(path) -> tuple[MlpParams, Normalizers]:
-    """Inverse of :func:`save_model` with magic/version/checksum validation."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Inverse of :func:`save_model` with magic/version/checksum validation.
+
+    The parameters and normalizer vectors are writable views over one buffer
+    holding the file, not copies.
+    """
+    raw = read_file_aligned(path, _MODEL_HEADER.size + 16)
     if len(raw) < _MODEL_HEADER.size + 32:
         raise FileFormatError(f"{path}: file too short for a model header")
     body, checksum = raw[:-32], raw[-32:]
     if hashlib.sha256(body).digest() != checksum:
         raise ChecksumError(f"{path}: model checksum mismatch (corrupt or truncated)")
-    magic, version, d_in, hidden, d_out = _MODEL_HEADER.unpack(body[: _MODEL_HEADER.size])
+    magic, version, d_in, hidden, d_out = _MODEL_HEADER.unpack_from(body)
     if magic != MODEL_MAGIC:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     if version != MODEL_VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
-    offset = _MODEL_HEADER.size
-    feat_eps, tgt_eps = struct.unpack_from("<dd", body, offset)
-    offset += 16
+    n_params = sum(math.prod(s) for s in _param_shapes(d_in, hidden, d_out))
+    offset = _MODEL_HEADER.size + 16
+    expected = offset + 8 * (2 * d_in + 2 * d_out + n_params)
+    if len(body) < expected:
+        raise FileFormatError(
+            f"{path}: header dims {d_in}-{hidden}-{d_out} need {expected} bytes "
+            f"before the checksum, the file has {len(body)}"
+        )
+    if len(body) > expected:
+        raise FileFormatError(f"{path}: trailing bytes after model payload")
+    feat_eps, tgt_eps = struct.unpack_from("<dd", body, _MODEL_HEADER.size)
 
     def take(count: int) -> np.ndarray:
         nonlocal offset
-        out = np.frombuffer(body, dtype="<f8", count=count, offset=offset).copy()
+        out = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         return out
 
     feat_nrm = Normalizer(take(d_in), take(d_in), feat_eps)
     tgt_nrm = Normalizer(take(d_out), take(d_out), tgt_eps)
-    shapes = [
-        (hidden, d_in),
-        (hidden,),
-        (hidden, hidden),
-        (hidden,),
-        (d_out, hidden),
-        (d_out,),
-    ]
-    arrays = [take(int(np.prod(s))).reshape(s) for s in shapes]
-    if offset != len(body):
-        raise FileFormatError(f"{path}: trailing bytes after model payload")
-    return MlpParams(*arrays), Normalizers(feat_nrm, tgt_nrm)
+    params = MlpParams.from_flat(take(n_params), d_in, hidden, d_out)
+    return params, Normalizers(feat_nrm, tgt_nrm)

@@ -262,3 +262,22 @@ class TestStorage:
         with pytest.warns(UserWarning, match="fingerprint"):
             loaded = load_dataset(path, expected_fingerprint=bytes(32))
         assert loaded.n_samples == 25
+
+    def test_save_load_save_round_trip_is_byte_identical(self, tmp_path):
+        ds = self.make_dataset()
+        first, second = tmp_path / "a.fasd", tmp_path / "b.fasd"
+        save_dataset(ds, first)
+        save_dataset(load_dataset(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_arrays_are_writable_aligned_and_unshared(self, tmp_path):
+        path = tmp_path / "ds.fasd"
+        save_dataset(self.make_dataset(), path)
+        a, b = load_dataset(path), load_dataset(path)
+        for arr in (a.features, a.targets):
+            assert arr.flags.writeable and arr.flags.aligned
+        for x in (a.features, a.targets):
+            for y in (b.features, b.targets):
+                assert not np.shares_memory(x, y)
+        a.features[0, 0] += 1.0
+        assert a.features[0, 0] != b.features[0, 0]

@@ -1,5 +1,8 @@
 """Tests for the from-scratch MLP: forward/backward, Adam, training, metrics."""
 
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from faslab.dataset_pipeline import Dataset, Normalizer, fit_normalizer
 from faslab.errors import ChecksumError, FileFormatError, TrainingDivergedError
 from faslab.mlp_estimator import (
     AdamState,
+    ForwardCache,
     Hyperparams,
     MlpParams,
     Normalizers,
@@ -63,6 +67,29 @@ def assert_gradients_close(analytic, numeric, rel=1e-4, floor=1e-6):
         assert worst <= 0, f"{name}: finite-difference mismatch by {worst:.3e}"
 
 
+def reference_adam_step(params, grads, state):
+    """The per-field Adam update as written before the flat buffer, kept as
+    the oracle for the blocked in-place one."""
+    for name in _FIELDS:
+        if not np.all(np.isfinite(getattr(grads, name))):
+            raise ValueError(f"non-finite gradient in {name}")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name in _FIELDS:
+        g = getattr(grads, name)
+        m = getattr(state.first_moment, name)
+        v = getattr(state.second_moment, name)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g**2
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps_hat)
+        getattr(params, name)[...] -= state.learning_rate * update
+    return params, state
+
+
 class TestInitParams:
     def test_biases_zero(self):
         p = random_net(5, 7, 3, 0)
@@ -82,6 +109,47 @@ class TestInitParams:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError, match="positive"):
             init_params(0, 3, 2, np.random.default_rng(0))
+
+
+class TestMlpParams:
+    def test_fields_are_views_of_flat_in_fasm_order(self):
+        p = random_net(3, 4, 2, 40)
+        assert p.flat.shape == (4 * 3 + 4 + 4 * 4 + 4 + 2 * 4 + 2,)
+        assert np.array_equal(
+            p.flat, np.concatenate([getattr(p, f).ravel() for f in _FIELDS])
+        )
+        p.w2[1, 2] = 7.5
+        assert p.flat[4 * 3 + 4 + 1 * 4 + 2] == 7.5
+
+    def test_fields_cannot_be_rebound(self):
+        p = random_net(3, 4, 2, 41)
+        with pytest.raises(AttributeError):
+            p.w1 = np.zeros((4, 3))
+
+    def test_copy_is_deep(self):
+        p = random_net(3, 4, 2, 42)
+        before = p.flat.copy()
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        for name in _FIELDS:
+            getattr(q, name)[...] = -1.0
+        assert np.array_equal(p.flat, before)
+
+    def test_constructor_copies_and_checks_shapes(self):
+        w1 = np.ones((4, 3))
+        p = MlpParams(w1, np.zeros(4), np.ones((4, 4)), np.zeros(4), np.ones((2, 4)), np.zeros(2))
+        w1[0, 0] = 5.0
+        assert p.w1[0, 0] == 1.0
+        with pytest.raises(ValueError, match="b2 has shape"):
+            MlpParams(w1, np.zeros(4), np.ones((4, 4)), np.zeros(3), np.ones((2, 4)), np.zeros(2))
+
+    def test_from_flat_wraps_without_copy(self):
+        flat = np.arange(4 * 3 + 4 + 16 + 4 + 8 + 2, dtype=float)
+        p = MlpParams.from_flat(flat, 3, 4, 2)
+        assert p.flat is flat and p.dims() == (3, 4, 2)
+        assert np.shares_memory(p.b3, flat) and p.b3[-1] == flat[-1]
+        with pytest.raises(ValueError, match="does not hold"):
+            MlpParams.from_flat(flat[:-1], 3, 4, 2)
 
 
 class TestForward:
@@ -159,6 +227,17 @@ class TestMseLoss:
         with pytest.raises(ValueError, match="shape"):
             mse_loss(np.zeros(3), np.zeros(4))
 
+    def test_out_buffer_is_bit_equal_to_the_whole_array_form(self):
+        rng = np.random.default_rng(7)
+        pred = rng.standard_normal((9, 5))
+        target = rng.standard_normal((9, 5))
+        diff = pred - target
+        out = np.full((9, 5), np.nan)
+        loss, grad = mse_loss(pred, target, out=out)
+        assert grad is out
+        assert loss == float(np.mean(diff**2))
+        assert np.array_equal(grad, 2.0 * diff / diff.size)
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
@@ -207,6 +286,90 @@ class TestBackward:
         _, cache = forward(p, np.zeros(4))
         with pytest.raises(ValueError, match="upstream"):
             backward(p, cache, np.zeros(3))
+
+
+def reference_forward_backward(params, x, d_out):
+    """The forward and backward passes as written before buffer reuse: every
+    intermediate a new array.  Returns (y, {field: gradient})."""
+    z1 = x @ params.w1.T + params.b1
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ params.w2.T + params.b2
+    a2 = np.maximum(z2, 0.0)
+    y = a2 @ params.w3.T + params.b3
+    da2 = d_out @ params.w3
+    dz2 = da2 * (z2 > 0)
+    da1 = dz2 @ params.w2
+    dz1 = da1 * (z1 > 0)
+    grads = {
+        "w3": d_out.T @ a2, "b3": d_out.sum(axis=0),
+        "w2": dz2.T @ a1, "b2": dz2.sum(axis=0),
+        "w1": dz1.T @ x, "b1": dz1.sum(axis=0),
+    }
+    return y, grads
+
+
+class TestBufferReuse:
+    def test_reused_buffers_are_bit_equal_to_fresh_arrays(self):
+        # A full batch, then a short last batch through the same cache and
+        # gradient buffer, as in a training epoch.
+        p = random_net(12, 40, 10, 50)
+        p.b1[...] = 0.1 * np.arange(40) - 2.0
+        rng = np.random.default_rng(51)
+        cache, grads = None, p.zeros_like()
+        for rows in (16, 16, 5):
+            x = rng.standard_normal((rows, 12))
+            d_out = rng.standard_normal((rows, 10))
+            y, cache = forward(p, x, cache)
+            backward(p, cache, d_out, out=grads)
+            ref_y, ref_grads = reference_forward_backward(p, x, d_out)
+            fresh_y, fresh_cache = forward(p, x)
+            fresh = backward(p, fresh_cache, d_out)
+            assert y.shape == (rows, 10)
+            assert np.array_equal(y, ref_y) and np.array_equal(fresh_y, ref_y)
+            for name in _FIELDS:
+                assert np.array_equal(getattr(grads, name), ref_grads[name]), name
+                assert np.array_equal(getattr(fresh, name), ref_grads[name]), name
+
+    def test_relu_mask_multiplies_so_nonfinite_upstream_stays_visible(self):
+        # Hidden unit 0 of layer 2 is dead on every row; an infinite upstream
+        # gradient must still turn its gradients into NaN (inf * 0), as in
+        # the reference, rather than be zeroed through the mask.
+        p = random_net(3, 5, 2, 52)
+        p.b2[0] = -100.0
+        x = np.random.default_rng(53).standard_normal((4, 3))
+        d_out = np.ones((4, 2))
+        d_out[1, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            _, ref = reference_forward_backward(p, x, d_out)
+            _, cache = forward(p, x, ForwardCache())
+            grads = backward(p, cache, d_out, out=p.zeros_like())
+        assert np.isnan(ref["b2"][0])
+        for name in _FIELDS:
+            assert np.array_equal(getattr(grads, name), ref[name], equal_nan=True), name
+
+    def test_single_vector_through_a_batch_cache(self):
+        p = random_net(6, 9, 4, 54)
+        x = np.random.default_rng(55).standard_normal((8, 6))
+        _, cache = forward(p, x)
+        y, cache = forward(p, x[3], cache)
+        assert y.shape == (4,)
+        assert np.array_equal(y, forward(p, x[3])[0])
+        grads = backward(p, cache, np.ones(4))
+        assert np.array_equal(grads.flat, backward(p, forward(p, x[3])[1], np.ones(4)).flat)
+
+    def test_gradient_buffer_dims_checked(self):
+        p = random_net(4, 6, 2, 56)
+        _, cache = forward(p, np.zeros(4))
+        with pytest.raises(ValueError, match="gradient buffer"):
+            backward(p, cache, np.zeros(2), out=random_net(4, 5, 2, 57))
+
+    def test_two_trainings_in_one_process_are_bit_equal(self):
+        train_ds = toy_dataset(70, seed=58)  # 70 rows at batch 16: a short last batch
+        val_ds = toy_dataset(20, seed=59)
+        hyper = toy_hyper(max_epochs=4)
+        p1 = train(train_ds, val_ds, hyper, np.random.default_rng(60))[0]
+        p2 = train(train_ds, val_ds, hyper, np.random.default_rng(60))[0]
+        assert p1.flat.tobytes() == p2.flat.tobytes()
 
 
 class TestAdamStep:
@@ -266,11 +429,46 @@ class TestAdamStep:
 
     def test_nonfinite_gradient_rejected(self):
         p = random_net(3, 4, 2, 22)
+        before = p.copy()
         state = AdamState.for_params(p, 0.01)
         bad = type(p)(*(np.zeros_like(getattr(p, f)) for f in _FIELDS))
         bad.w2[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite gradient in w2"):
             adam_step(p, bad, state)
+        assert state.step_count == 0
+        assert np.array_equal(p.flat, before.flat)
+        assert not state.first_moment.flat.any() and not state.second_moment.flat.any()
+
+    def test_blocked_update_is_bit_equal_to_per_field_reference(self):
+        # 48 370 parameters: more than one block, and not a multiple of it.
+        p = random_net(100, 150, 70, 24)
+        rng = np.random.default_rng(25)
+        ref_params = SimpleNamespace(**{f: getattr(p, f).copy() for f in _FIELDS})
+        ref_state = SimpleNamespace(
+            first_moment=SimpleNamespace(**{f: np.zeros_like(getattr(p, f)) for f in _FIELDS}),
+            second_moment=SimpleNamespace(**{f: np.zeros_like(getattr(p, f)) for f in _FIELDS}),
+            step_count=0, learning_rate=3e-3, beta1=0.85, beta2=0.995, eps_hat=1e-7,
+        )
+        state = AdamState.for_params(p, 3e-3, 0.85, 0.995, 1e-7)
+        grads = p.zeros_like()
+        for step in range(6):
+            # Wide magnitudes, exact zeros and negative zeros.
+            grads.flat[...] = rng.standard_normal(grads.flat.size) * 10.0 ** rng.integers(
+                -6, 6, grads.flat.size
+            )
+            grads.flat[rng.integers(0, grads.flat.size, 500)] = 0.0
+            grads.flat[rng.integers(0, grads.flat.size, 500)] = -0.0
+            ref_grads = SimpleNamespace(**{f: getattr(grads, f).copy() for f in _FIELDS})
+            adam_step(p, grads, state)
+            reference_adam_step(ref_params, ref_grads, ref_state)
+            assert state.step_count == ref_state.step_count == step + 1
+            for name in _FIELDS:
+                assert np.array_equal(getattr(p, name), getattr(ref_params, name)), name
+                for moment in ("first_moment", "second_moment"):
+                    assert np.array_equal(
+                        getattr(getattr(state, moment), name),
+                        getattr(getattr(ref_state, moment), name),
+                    ), (moment, name)
 
 
 class TestMetrics:
@@ -516,10 +714,42 @@ class TestModelStorage:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"JUNK"
         # keep the checksum consistent so the magic check is what fires
-        import hashlib
-
         body = bytes(raw[:-32])
         raw[-32:] = hashlib.sha256(body).digest()
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="magic"):
             load_model(path)
+
+    def test_header_dims_overrunning_the_payload_name_the_file(self, tmp_path):
+        params = random_net(4, 3, 2, 29)
+        normalizers = Normalizers(
+            Normalizer(np.zeros(4), np.ones(4)), Normalizer(np.zeros(2), np.ones(2))
+        )
+        path = tmp_path / "model.fasm"
+        save_model(path, params, normalizers)
+        raw = bytearray(path.read_bytes())
+        raw[10:14] = (30).to_bytes(4, "little")  # hidden 3 -> 30
+        raw[-32:] = hashlib.sha256(bytes(raw[:-32])).digest()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="model.fasm: header dims 4-30-2"):
+            load_model(path)
+
+    def test_save_load_save_round_trip_is_byte_identical(self, tmp_path):
+        params, normalizers = self.trained_artifacts()
+        first, second = tmp_path / "a.fasm", tmp_path / "b.fasm"
+        save_model(first, params, normalizers)
+        save_model(second, *load_model(first))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_arrays_are_writable_aligned_and_unshared(self, tmp_path):
+        params, normalizers = self.trained_artifacts()
+        path = tmp_path / "model.fasm"
+        save_model(path, params, normalizers)
+        (p1, n1), (p2, n2) = load_model(path), load_model(path)
+        arrays = lambda p, n: [p.flat, n.features.mean, n.features.std, n.targets.mean, n.targets.std]
+        for x in arrays(p1, n1):
+            assert x.flags.writeable and x.flags.aligned
+            for y in arrays(p2, n2):
+                assert not np.shares_memory(x, y)
+        p1.w3[0, 0] += 1.0
+        assert p1.w3[0, 0] != p2.w3[0, 0]
