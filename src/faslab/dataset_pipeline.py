@@ -229,17 +229,17 @@ def invert_normalizer(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
     return _check_width(nrm, matrix) * nrm.scale() + nrm.mean
 
 
-def read_file_aligned(path, data_offset: int, align: int = 8) -> memoryview:
+def read_file_aligned(path, data_offset: int) -> memoryview:
     """The bytes of ``path`` in a new writable buffer, placed so that byte
-    ``data_offset`` of the file is ``align``-byte aligned in memory.
+    ``data_offset`` of the file is 8-byte aligned in memory.
 
-    ``np.frombuffer`` views from that offset on are then aligned arrays over
-    the buffer, so a loader needs no copies.
+    ``np.frombuffer`` float32/float64 views from that offset on are then
+    aligned arrays over the buffer, so a loader needs no copies.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        buf = bytearray(size + align)
-        pad = -(np.frombuffer(buf, dtype=np.uint8).ctypes.data + data_offset) % align
+        buf = bytearray(size + 8)
+        pad = -(np.frombuffer(buf, dtype=np.uint8).ctypes.data + data_offset) % 8
         view = memoryview(buf)[pad : pad + size]
         return view[: fh.readinto(view)]
 

@@ -240,6 +240,8 @@ def backward(
 
 # Elements per in-place Adam block: 256 KiB per operand, so the scratch and
 # the block's slices of the parameters, gradients and moments stay in cache.
+# Against one whole-array pass it trains faster at desk and paper shapes and
+# needs 0.5 MB of scratch, not two parameter-sized vectors.
 _ADAM_BLOCK = 32768
 
 
