@@ -2,7 +2,8 @@
 
 Two tiny fixed desk configs run generate -> train -> sweep; the digests of
 the FASD, FASM, convergence CSV and sweep CSV files were recorded once and
-must not move.  A refactor or speed-up that changes one of them changed
+must not move.  One fixed pilot CSV run through one of those models pins
+the eval-single CSV the same way.  A refactor or speed-up that changes one of them changed
 the artifacts.  Floating-point results can differ across numpy/BLAS builds,
 so the failure message names the numpy version that ran.  Never re-record
 these digests to make a change pass.
@@ -15,7 +16,13 @@ import numpy as np
 import pytest
 
 from faslab.config import desk_profile
-from faslab.experiment_cli import cmd_generate, cmd_sweep, cmd_train
+from faslab.experiment_cli import (
+    cmd_eval_single,
+    cmd_generate,
+    cmd_generate_single,
+    cmd_sweep,
+    cmd_train,
+)
 
 RECORDED_WITH_NUMPY = "2.4.6"
 
@@ -83,4 +90,25 @@ def test_artifact_digests_pinned(tmp_path, name):
     assert digests == GOLDEN[name], (
         f"artifact bytes of the '{name}' golden config changed (running numpy "
         f"{np.__version__}; digests recorded with numpy {RECORDED_WITH_NUMPY})"
+    )
+
+
+GOLDEN_EVAL = "b51f2e76885605b40755ecd440e5b3c0e5983fd3f8817d5449e2edf165baf0d5"
+
+
+def test_eval_single_digest_pinned(tmp_path):
+    cfg = golden_config(tmp_path)
+    model_file, _ = cmd_train(cfg, cmd_generate_single(cfg, 10.0))
+    assert (
+        hashlib.sha256(model_file.read_bytes()).hexdigest()
+        == GOLDEN["sequential"]["snr+10.0dB.fasm"]
+    )
+    # 8 slots x 4 antennas: one fixed 32-sample pilot vector, exact reprs.
+    pilots = np.random.default_rng(2024).standard_normal((32, 2)).tolist()
+    pilot_csv = tmp_path / "pilots.csv"
+    pilot_csv.write_text("re,im\n" + "".join(f"{re!r},{im!r}\n" for re, im in pilots))
+    out = cmd_eval_single(model_file, pilot_csv, tmp_path / "estimate.csv")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_EVAL, (
+        f"eval-single bytes changed (running numpy {np.__version__}; digest "
+        f"recorded with numpy {RECORDED_WITH_NUMPY})"
     )
