@@ -49,7 +49,6 @@ from .mlp_estimator import (
     init_params,
     load_model,
     mse_loss,
-    nmse,
     nmse_db,
     predict,
     save_model,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import ArrayGeometry
+from .channel_model import ArrayGeometry, steering_matrix
 from .pilot_system import PilotObservation, SwitchSchedule
 
 RANK_TOL = 1e-10
@@ -53,9 +53,7 @@ def build_dictionary(
         )
     cos_grid = -1.0 + 2.0 * np.arange(num_atoms) / num_atoms
     angles = np.arccos(cos_grid)
-    n = np.arange(geometry.num_ports)
-    phases = 2.0 * np.pi * geometry.spacing_ratio * np.outer(n, cos_grid)
-    full_atoms = np.exp(1j * phases) / np.sqrt(geometry.num_ports)
+    full_atoms = steering_matrix(geometry, cos_grid)
     atoms = full_atoms[sched.flat_indices(), :]
     return AngularDictionary(angles, atoms, full_atoms)
 

@@ -67,15 +67,23 @@ class ScatteringConfig:
         return self.num_clusters * self.rays_per_cluster
 
 
+def steering_matrix(geometry: ArrayGeometry, cos_values) -> np.ndarray:
+    """Unit-norm ULA responses, one column per direction cosine.
+
+    Entry (n, k) is (1/sqrt(N)) * exp(j * 2*pi * (d/lambda) * n * cos_values[k]).
+    """
+    n = np.arange(geometry.num_ports)
+    phases = 2.0 * np.pi * geometry.spacing_ratio * np.outer(n, cos_values)
+    return np.exp(1j * phases) / np.sqrt(geometry.num_ports)
+
+
 def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     """Unit-norm ULA response to a plane wave arriving from angle ``theta``.
 
-    Entry n is (1/sqrt(N)) * exp(j * 2*pi * (d/lambda) * n * cos(theta)).
-    Any real angle is accepted; the response is 2*pi-periodic in theta.
+    The column of :func:`steering_matrix` for cos(theta).  Any real angle is
+    accepted; the response is 2*pi-periodic in theta.
     """
-    n = np.arange(geometry.num_ports)
-    phase = 2.0 * np.pi * geometry.spacing_ratio * np.cos(theta) * n
-    return np.exp(1j * phase) / np.sqrt(geometry.num_ports)
+    return steering_matrix(geometry, [np.cos(theta)])[:, 0]
 
 
 def draw_angles(cfg: ScatteringConfig, rng: np.random.Generator) -> np.ndarray:
@@ -124,9 +132,7 @@ def channel_from_rays(
         raise ValueError(
             f"angles shape {angles.shape} != gains shape {gains.shape}"
         )
-    n = np.arange(geometry.num_ports)
-    phases = 2.0 * np.pi * geometry.spacing_ratio * np.outer(n, np.cos(angles.ravel()))
-    atoms = np.exp(1j * phases) / np.sqrt(geometry.num_ports)
+    atoms = steering_matrix(geometry, np.cos(angles.ravel()))
     scale = np.sqrt(geometry.num_ports / angles.size)
     return scale * (atoms @ gains.ravel())
 

@@ -187,9 +187,18 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text), base=base)
 
 
+def _canonical(doc: dict) -> str:
+    """Sorted keys, compact separators, exact floats: the text fingerprints hash."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(doc: dict) -> bytes:
+    return hashlib.sha256(_canonical(doc).encode("utf-8")).digest()
+
+
 def canonical_json(cfg: ExperimentConfig) -> str:
     """Canonical serialization: sorted keys, compact separators, exact floats."""
-    return json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    return _canonical(cfg.to_dict())
 
 
 # Storage locations are excluded from fingerprints: where artifacts live must
@@ -206,8 +215,7 @@ def _fingerprint_payload(cfg: ExperimentConfig) -> dict:
 
 def config_fingerprint(cfg: ExperimentConfig) -> bytes:
     """32-byte digest of the experiment-defining fields (paths excluded)."""
-    payload = json.dumps(_fingerprint_payload(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).digest()
+    return _digest(_fingerprint_payload(cfg))
 
 
 def dataset_fingerprint(cfg: ExperimentConfig, snr_db) -> bytes:
@@ -219,10 +227,7 @@ def dataset_fingerprint(cfg: ExperimentConfig, snr_db) -> bytes:
         tag: object = [float(s) for s in snr_db]
     else:
         tag = float(snr_db)
-    doc = {"config": _fingerprint_payload(cfg), "dataset_snr_db": tag}
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).digest()
+    return _digest({"config": _fingerprint_payload(cfg), "dataset_snr_db": tag})
 
 
 def paper_profile() -> ExperimentConfig:

@@ -36,9 +36,10 @@ _NEG_INF_KEY = 2**32 + 2
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
-    """[Re(v); Im(v)] — all real parts first, then all imaginary parts."""
+    """[Re(v); Im(v)] along the last axis — all real parts first, then all
+    imaginary parts; a row matrix packs row by row."""
     v = np.asarray(v)
-    return np.concatenate([np.real(v), np.imag(v)]).astype(float)
+    return np.concatenate([np.real(v), np.imag(v)], axis=-1).astype(float, copy=False)
 
 
 def unpack_complex(r: np.ndarray) -> np.ndarray:
@@ -108,40 +109,49 @@ def snr_stream_key(snr_db) -> int:
     return int(round(value * 1000.0)) & 0xFFFFFFFF
 
 
-def generate_dataset(
-    cfg: ExperimentConfig, n_samples: int, snr_db, master_seed: int
-) -> Dataset:
-    """Draw ``n_samples`` independent (observation, channel) rows.
+def draw_samples(cfg: ExperimentConfig, snr_db, master_seed: int, n: int):
+    """Yield ``n`` pairs (h, y): a channel of length num_ports and its
+    complex slot-major pilot samples, sample i drawn from its own stream
+    (master_seed, SNR key, i).
 
     ``snr_db`` is a single SNR in dB, or a sequence of SNRs for the mixed
     mode, where each sample draws its SNR uniformly from the list (that
     choice comes first in the per-sample stream, then the channel, then the
-    noise).  Output bytes are fully determined by (cfg, n_samples, snr_db,
+    noise).
+    """
+    geometry = cfg.geometry()
+    scattering = cfg.scattering()
+    schedule = cfg.build_schedule()
+    mixed = isinstance(snr_db, (list, tuple))
+    variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
+    key = snr_stream_key(snr_db)
+    for i in range(n):
+        rng = sample_stream(master_seed, key, i)
+        sigma2 = variances[rng.integers(len(variances))] if mixed else variances[0]
+        h = draw_channel(scattering, geometry, rng)
+        yield h, observe(h, schedule, sigma2, rng).samples
+
+
+def generate_dataset(
+    cfg: ExperimentConfig, n_samples: int, snr_db, master_seed: int
+) -> Dataset:
+    """Draw ``n_samples`` independent (observation, channel) rows with
+    :func:`draw_samples`.
+
+    Output bytes are fully determined by (cfg, n_samples, snr_db,
     master_seed).
     """
     cfg.validate()
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    geometry = cfg.geometry()
-    scattering = cfg.scattering()
-    schedule = cfg.build_schedule()
-
-    mixed = isinstance(snr_db, (list, tuple))
-    snrs = [float(s) for s in snr_db] if mixed else [float(snr_db)]
-    variances = [noise_variance_for_snr(s) for s in snrs]
-    key = snr_stream_key(snr_db)
-
-    pm = schedule.num_samples
+    pm = cfg.num_slots * cfg.num_antennas
     n_ports = cfg.num_ports
     features = np.empty((n_samples, 2 * pm), dtype=np.float32)
     targets = np.empty((n_samples, 2 * n_ports), dtype=np.float32)
-    for i in range(n_samples):
-        rng = sample_stream(master_seed, key, i)
-        sigma2 = variances[rng.integers(len(variances))] if mixed else variances[0]
-        h = draw_channel(scattering, geometry, rng)
-        obs = observe(h, schedule, sigma2, rng)
-        features[i, :pm] = obs.samples.real
-        features[i, pm:] = obs.samples.imag
+    # The pack_complex layout, written in place: no per-row temporaries.
+    for i, (h, y) in enumerate(draw_samples(cfg, snr_db, master_seed, n_samples)):
+        features[i, :pm] = y.real
+        features[i, pm:] = y.imag
         targets[i, :n_ports] = h.real
         targets[i, n_ports:] = h.imag
     return Dataset(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline_estimators import build_dictionary, ls_observed_estimate, omp_estimate
-from .channel_model import draw_channel
+from .channel_model import draw_channel  # unused here; faslab_bench/spans.py traces it
 from .config import (
     PROFILES,
     ExperimentConfig,
@@ -25,11 +25,11 @@ from .config import (
     dataset_fingerprint,
 )
 from .dataset_pipeline import (
+    draw_samples,
     generate_dataset,
     load_dataset,
-    sample_stream,
+    sample_stream,  # unused here; faslab_bench/spans.py traces it
     save_dataset,
-    snr_stream_key,
     split,
 )
 from .errors import ConfigError, TrainingDivergedError
@@ -44,7 +44,8 @@ from .mlp_estimator import (
     save_model,
     train,
 )
-from .pilot_system import noise_variance_for_snr, observe
+from .pilot_system import noise_variance_for_snr
+from .pilot_system import observe  # unused here; faslab_bench/spans.py traces it
 
 ESTIMATORS = ("mlp", "omp", "ls_observed")
 
@@ -88,20 +89,22 @@ def _fingerprint_int(fingerprint: bytes) -> int:
 def cmd_generate(cfg: ExperimentConfig, out_dir=None) -> list[Path]:
     """Write one dataset file per SNR point (or a single mixed file)."""
     cfg.validate()
-    base = Path(out_dir) if out_dir is not None else Path(cfg.dataset_dir)
-    base.mkdir(parents=True, exist_ok=True)
-    snr_points: list = list(cfg.snr_db_list)
-    if cfg.mixed_snr:
-        snr_points = [list(cfg.snr_db_list)]
-    written = []
-    for snr in snr_points:
-        ds = generate_dataset(cfg, cfg.n_train_samples, snr, cfg.seeds.channel)
-        path = base / f"{snr_label(snr)}.fasd"
-        save_dataset(ds, path)
-        written.append(path)
-        print(f"wrote {path} ({ds.n_samples} rows, widths "
-              f"{ds.features.shape[1]}/{ds.targets.shape[1]})")
-    return written
+    snr_points = [list(cfg.snr_db_list)] if cfg.mixed_snr else list(cfg.snr_db_list)
+    return [cmd_generate_single(cfg, snr, out_dir) for snr in snr_points]
+
+
+def cmd_generate_single(cfg: ExperimentConfig, snr_db, out_dir=None) -> Path:
+    """Generate, write and report the dataset for one SNR point (a list for
+    the mixed mode), in ``out_dir`` or else the config's dataset_dir."""
+    ds = generate_dataset(cfg, cfg.n_train_samples, snr_db, cfg.seeds.channel)
+    path = dataset_path(cfg, snr_db)
+    if out_dir is not None:
+        path = Path(out_dir) / path.name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_dataset(ds, path)
+    print(f"wrote {path} ({ds.n_samples} rows, widths "
+          f"{ds.features.shape[1]}/{ds.targets.shape[1]})")
+    return path
 
 
 def cmd_train(
@@ -164,23 +167,6 @@ def cmd_train(
     return model_file, curve_file
 
 
-def _test_set(cfg: ExperimentConfig, snr_db: float, n_test: int):
-    """Fresh evaluation samples, independent of the training stream family."""
-    geometry = cfg.geometry()
-    scattering = cfg.scattering()
-    schedule = cfg.build_schedule()
-    sigma2 = noise_variance_for_snr(snr_db)
-    key = snr_stream_key(snr_db)
-    channels = np.empty((n_test, cfg.num_ports), dtype=complex)
-    pilots = np.empty((n_test, schedule.num_samples), dtype=complex)
-    for i in range(n_test):
-        rng = sample_stream(cfg.seeds.test, key, i)
-        h = draw_channel(scattering, geometry, rng)
-        channels[i] = h
-        pilots[i] = observe(h, schedule, sigma2, rng).samples
-    return channels, pilots, schedule, sigma2
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) -> Path:
     """NMSE (dB) per SNR per estimator over a fresh test set.
 
@@ -215,12 +201,16 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
         if mfile not in model_cache:
             model_cache[mfile] = load_model(mfile)
         params, normalizers = model_cache[mfile]
-        channels, pilots, _, sigma2 = _test_set(cfg, snr, cfg.n_test_samples)
+        # A fresh test set, from the test seed's own stream family.
+        samples = draw_samples(cfg, snr, cfg.seeds.test, cfg.n_test_samples)
+        channels, pilots = map(np.array, zip(*samples))
 
         estimates = {
             "mlp": predict_batch(params, normalizers, pilots),
             "omp": omp_estimate(pilots, dictionary, sparsity),
-            "ls_observed": ls_observed_estimate(pilots, schedule, sigma2),
+            "ls_observed": ls_observed_estimate(
+                pilots, schedule, noise_variance_for_snr(snr)
+            ),
         }
         for name in ESTIMATORS:
             value = nmse_db(ensemble_nmse(estimates[name], channels))
@@ -234,15 +224,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
         lines.append(f"{_fmt(snr)},{name},{_fmt(value)},{cfg.n_test_samples}")
     out.write_text("\n".join(lines) + "\n")
     return out
-
-
-def cmd_generate_single(cfg: ExperimentConfig, snr_db) -> Path:
-    """Generate and save the dataset for one SNR point."""
-    ds = generate_dataset(cfg, cfg.n_train_samples, snr_db, cfg.seeds.channel)
-    path = dataset_path(cfg, snr_db)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(ds, path)
-    return path
 
 
 def _parse_complex_csv(path) -> np.ndarray:

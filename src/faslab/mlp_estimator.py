@@ -25,7 +25,6 @@ from .dataset_pipeline import (
     invert_normalizer,
     pack_complex,
     read_file_aligned,
-    unpack_complex,
 )
 from .errors import ChecksumError, FileFormatError, TrainingDivergedError
 
@@ -321,18 +320,6 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
 # -- metrics ---------------------------------------------------------------
 
 
-def nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
-    """||h_hat - h||^2 / ||h||^2 for a single channel vector."""
-    h_hat = np.asarray(h_hat)
-    h = np.asarray(h)
-    if h_hat.shape != h.shape:
-        raise ValueError(f"shape mismatch: {h_hat.shape} vs {h.shape}")
-    denom = float(np.sum(np.abs(h) ** 2))
-    if denom == 0.0:
-        raise ValueError("true channel has zero norm")
-    return float(np.sum(np.abs(h_hat - h) ** 2)) / denom
-
-
 def nmse_db(value: float) -> float:
     return float(10.0 * np.log10(value))
 
@@ -341,7 +328,8 @@ def ensemble_nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
     """Total squared error over total channel energy across a sample set.
 
     The linear-domain aggregate sum_i ||err_i||^2 / sum_i ||h_i||^2; rows
-    are samples.  This weighting keeps the metric consistent with its
+    are samples, and a single vector is a one-row set (||h_hat - h||^2 /
+    ||h||^2).  This weighting keeps the metric consistent with its
     closed-form predictions (an unweighted mean of per-sample ratios is
     biased upward by low-energy draws).
     """
@@ -478,9 +466,10 @@ def train(
     tgt_nrm = fit_normalizer(train_ds.targets)
     normalizers = Normalizers(feat_nrm, tgt_nrm)
 
-    x_train = apply_normalizer(feat_nrm, train_ds.features.astype(float))
-    t_train = apply_normalizer(tgt_nrm, train_ds.targets.astype(float))
-    x_val = apply_normalizer(feat_nrm, val_ds.features.astype(float))
+    x_train = apply_normalizer(feat_nrm, train_ds.features)
+    t_train = apply_normalizer(tgt_nrm, train_ds.targets)
+    x_val = apply_normalizer(feat_nrm, val_ds.features)
+    # float64 first: float32 rows would combine with 1j into complex64.
     h_val = _rows_to_complex(val_ds.targets.astype(float))
 
     d_in = x_train.shape[1]
@@ -541,29 +530,25 @@ def train(
     return best_params, normalizers, report
 
 
-def predict(
-    params: MlpParams, normalizers: Normalizers, pilot_samples: np.ndarray
+def predict_batch(
+    params: MlpParams, normalizers: Normalizers, pilot_matrix: np.ndarray
 ) -> np.ndarray:
-    """Estimate the complex port-domain channel from one stacked pilot vector.
+    """Estimate the complex port-domain channel of each row of a complex
+    pilot matrix.
 
     Pipeline: pack -> feature-normalize with training statistics -> forward
     -> de-normalize with target statistics -> unpack.
     """
-    packed = pack_complex(pilot_samples)
-    x = apply_normalizer(normalizers.features, packed[None, :])
-    y, _ = forward(params, x)
-    return unpack_complex(invert_normalizer(normalizers.targets, y)[0])
-
-
-def predict_batch(
-    params: MlpParams, normalizers: Normalizers, pilot_matrix: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`predict` over rows of a complex pilot matrix."""
-    pilot_matrix = np.asarray(pilot_matrix)
-    packed = np.concatenate([pilot_matrix.real, pilot_matrix.imag], axis=1)
-    x = apply_normalizer(normalizers.features, packed.astype(float))
+    x = apply_normalizer(normalizers.features, pack_complex(pilot_matrix))
     y, _ = forward(params, x)
     return _rows_to_complex(invert_normalizer(normalizers.targets, y))
+
+
+def predict(
+    params: MlpParams, normalizers: Normalizers, pilot_samples: np.ndarray
+) -> np.ndarray:
+    """:func:`predict_batch` on one stacked pilot vector (a batch of one)."""
+    return predict_batch(params, normalizers, np.asarray(pilot_samples)[None, :])[0]
 
 
 def report_to_csv(report: TrainReport) -> str:

@@ -12,6 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_rows(idx: np.ndarray, num_ports: int) -> None:
+    """Reject an index matrix unless each row holds distinct ports in
+    [0, num_ports); a duplicate is named by its first slot (row)."""
+    if idx.size and (idx.min() < 0 or idx.max() >= num_ports):
+        raise ValueError(
+            f"port index out of range [0, {num_ports}): min {idx.min()}, max {idx.max()}"
+        )
+    ordered = np.sort(idx, axis=1)
+    bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    if bad.size:
+        raise ValueError(f"duplicate port index in slot {bad[0]}: {idx[bad[0]].tolist()}")
+
+
 @dataclass
 class SwitchSchedule:
     """Per-slot port assignments: row p lists the ports occupied at slot p.
@@ -33,15 +46,7 @@ class SwitchSchedule:
             raise ValueError(
                 f"num_antennas {idx.shape[1]} exceeds num_ports {self.num_ports}"
             )
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.num_ports:
-                raise ValueError(
-                    f"port index out of range [0, {self.num_ports}): "
-                    f"min {idx.min()}, max {idx.max()}"
-                )
-        for p, row in enumerate(idx):
-            if len(set(row.tolist())) != len(row):
-                raise ValueError(f"duplicate port index in slot {p}: {row.tolist()}")
+        _check_rows(idx, self.num_ports)
         self.port_indices = idx
 
     @property
@@ -79,12 +84,7 @@ def build_switch_matrix(row, num_ports: int) -> np.ndarray:
     row = np.asarray(row, dtype=int)
     if row.ndim != 1:
         raise ValueError(f"row must be 1-D, got shape {row.shape}")
-    if row.size and (row.min() < 0 or row.max() >= num_ports):
-        raise ValueError(
-            f"port index out of range [0, {num_ports}): {row.tolist()}"
-        )
-    if len(set(row.tolist())) != row.size:
-        raise ValueError(f"duplicate port index in row: {row.tolist()}")
+    _check_rows(row[None, :], num_ports)
     s = np.zeros((num_ports, row.size))
     s[row, np.arange(row.size)] = 1.0
     return s

@@ -40,7 +40,6 @@ from faslab.mlp_estimator import (
     instrumented_forward,
     load_model,
     mse_loss,
-    nmse,
     save_model,
 )
 from faslab.pilot_system import (
@@ -157,7 +156,7 @@ def test_criterion_05_omp_exact_recovery_and_monotone_residual():
         h = (0.9 - 1.4j) * dictionary.full_atoms[:, 101]
         obs = observe(h, sched, 0.0, np.random.default_rng(0))
         estimate = omp_estimate(obs, dictionary, 1)
-        assert nmse(estimate, h) < 1e-10
+        assert ensemble_nmse(estimate, h) < 1e-10
 
         scattering = ScatteringConfig(2, 10, np.radians(5.0))
         sigma2 = noise_variance_for_snr(0.0)

@@ -22,7 +22,7 @@ from faslab.experiment_cli import (
     load_config,
     main,
 )
-from faslab.mlp_estimator import nmse
+from faslab.mlp_estimator import ensemble_nmse
 from faslab.pilot_system import noise_variance_for_snr, observe
 from faslab.channel_model import draw_channel
 
@@ -232,11 +232,13 @@ class TestPipelineCommands:
         with pytest.raises(FileNotFoundError, match="faslab generate"):
             cmd_sweep(cfg)
 
-    def test_sweep_build_missing(self, tmp_path):
+    def test_sweep_build_missing(self, tmp_path, capsys):
         cfg = micro_config(tmp_path, snr_db_list=[5.0])
         out = cmd_sweep(cfg, build_missing=True)
         assert out.exists()
         assert len(out.read_text().strip().splitlines()) == 4
+        # The dataset is built by the generate command's own code.
+        assert f"wrote {tmp_path / 'datasets' / 'snr+5.0dB.fasd'} (" in capsys.readouterr().out
 
     def test_mixed_snr_mode_shares_one_model(self, tmp_path):
         cfg = micro_config(tmp_path, mixed_snr=True)
@@ -310,7 +312,7 @@ class TestEvalSingle:
              (line.split(",") for line in lines[1:])]
         )
         assert est.shape == (cfg.num_ports,)
-        assert np.isfinite(nmse(est, h))
+        assert np.isfinite(ensemble_nmse(est, h))
 
         # repeated invocation produces identical bytes
         out2 = tmp_path / "estimate2.csv"

@@ -24,7 +24,6 @@ from faslab.mlp_estimator import (
     instrumented_forward,
     load_model,
     mse_loss,
-    nmse,
     nmse_db,
     predict,
     report_to_csv,
@@ -474,20 +473,20 @@ class TestAdamStep:
 class TestMetrics:
     def test_reference_values(self):
         h = np.array([1 + 1j, 2.0, -1j])
-        assert nmse(h, h) == 0.0
-        assert nmse(np.zeros(3), h) == 1.0
-        assert nmse(2 * h, h) == pytest.approx(1.0)
+        assert ensemble_nmse(h, h) == 0.0
+        assert ensemble_nmse(np.zeros(3), h) == 1.0
+        assert ensemble_nmse(2 * h, h) == pytest.approx(1.0)
         assert nmse_db(1.0) == 0.0
 
     def test_scale_diagnostic(self):
         rng = np.random.default_rng(30)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         for c in (0.5, 1.5, 2 + 1j):
-            assert nmse(c * h, h) == pytest.approx(abs(c - 1) ** 2)
+            assert ensemble_nmse(c * h, h) == pytest.approx(abs(c - 1) ** 2)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            nmse(np.ones(3), np.zeros(3))
+            ensemble_nmse(np.ones(3), np.zeros(3))
 
     def test_ensemble_weights_by_energy(self):
         h = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)

@@ -48,6 +48,10 @@ class TestSwitchSchedule:
         with pytest.raises(ValueError, match="num_antennas"):
             SwitchSchedule(np.array([[0, 1, 2]]), 2)
 
+    def test_duplicate_names_first_bad_slot(self):
+        with pytest.raises(ValueError, match="slot 2"):
+            SwitchSchedule(np.array([[0, 1], [2, 3], [3, 3]]), 4)
+
     def test_zero_slots_allowed(self):
         sched = SwitchSchedule(np.empty((0, 2), dtype=int), 8)
         assert sched.num_slots == 0
