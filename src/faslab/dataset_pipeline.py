@@ -12,6 +12,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -43,14 +44,13 @@ def pack_complex(v: np.ndarray) -> np.ndarray:
 
 
 def unpack_complex(r: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`pack_complex`; rejects odd-length input."""
+    """Exact inverse of :func:`pack_complex` along the last axis (one vector
+    or a row matrix), in float64; rejects an odd width."""
     r = np.asarray(r, dtype=float)
-    if r.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {r.shape}")
-    if r.size % 2 != 0:
-        raise ValueError(f"length must be even, got {r.size}")
-    k = r.size // 2
-    return r[:k] + 1j * r[k:]
+    if r.ndim == 0 or r.shape[-1] % 2:
+        raise ValueError(f"length must be even along the last axis, got shape {r.shape}")
+    k = r.shape[-1] // 2
+    return r[..., :k] + 1j * r[..., k:]
 
 
 @dataclass
@@ -180,9 +180,8 @@ def split(ds: Dataset, rho: float, rng: np.random.Generator) -> tuple[Dataset, D
     perm = rng.permutation(n)
     val_idx = perm[:n_val]
     train_idx = perm[n_val:]
-    make = lambda idx: replace(
-        ds, features=ds.features[idx].copy(), targets=ds.targets[idx].copy()
-    )
+    # Indexing with an index array copies, so neither part shares the source.
+    make = lambda idx: replace(ds, features=ds.features[idx], targets=ds.targets[idx])
     return make(train_idx), make(val_idx)
 
 
@@ -212,14 +211,14 @@ class Normalizer:
         return np.maximum(self.std, self.epsilon)
 
 
-def fit_normalizer(train_matrix: np.ndarray, epsilon: float = STD_EPSILON) -> Normalizer:
+def fit_normalizer(train_matrix: np.ndarray) -> Normalizer:
     """Per-dimension mean and population standard deviation of training rows."""
     m = np.asarray(train_matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] < 2:
         raise ValueError(
             f"need a 2-D matrix with at least 2 rows, got shape {m.shape}"
         )
-    return Normalizer(m.mean(axis=0), m.std(axis=0, ddof=0), epsilon)
+    return Normalizer(m.mean(axis=0), m.std(axis=0, ddof=0))
 
 
 def _check_width(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
@@ -254,6 +253,26 @@ def read_file_aligned(path, data_offset: int) -> memoryview:
         return view[: fh.readinto(view)]
 
 
+def write_artifact(path, chunks) -> None:
+    """Write the bytes-like chunks to ``path``, creating its parent directory.
+
+    They go to a temporary file next to ``path`` that one rename then moves
+    onto it: a write cut short by an exception (which also removes the
+    temporary file) or by the process dying leaves any earlier file at
+    ``path`` whole.  Nothing is synced, so this does not hold on power loss.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Bit-exact binary format: fixed header, fingerprint, payload checksum,
     then features and targets as little-endian float32, row-major."""
@@ -271,12 +290,7 @@ def save_dataset(ds: Dataset, path) -> None:
     )
     digest = hashlib.sha256(feat)
     digest.update(tgt)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(ds.config_fingerprint)
-        fh.write(digest.digest())
-        fh.write(feat)
-        fh.write(tgt)
+    write_artifact(path, (header, ds.config_fingerprint, digest.digest(), feat, tgt))
 
 
 def load_dataset(path, expected_fingerprint: bytes | None = None) -> Dataset:

@@ -31,6 +31,7 @@ from .dataset_pipeline import (
     sample_stream,  # unused here; faslab_bench/spans.py traces it
     save_dataset,
     split,
+    write_artifact,
 )
 from .errors import ConfigError, TrainingDivergedError
 from .mlp_estimator import (
@@ -100,7 +101,6 @@ def cmd_generate_single(cfg: ExperimentConfig, snr_db, out_dir=None) -> Path:
     path = dataset_path(cfg, snr_db)
     if out_dir is not None:
         path = Path(out_dir) / path.name
-    path.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, path)
     print(f"wrote {path} ({ds.n_samples} rows, widths "
           f"{ds.features.shape[1]}/{ds.targets.shape[1]})")
@@ -155,10 +155,8 @@ def cmd_train(
     curve_file = Path(curve_out) if curve_out else Path(cfg.results_dir) / (
         "convergence_" + dataset_file.stem + ".csv"
     )
-    model_file.parent.mkdir(parents=True, exist_ok=True)
-    curve_file.parent.mkdir(parents=True, exist_ok=True)
     save_model(model_file, params, normalizers)
-    curve_file.write_text(report_to_csv(report))
+    write_artifact(curve_file, [report_to_csv(report).encode()])
     print(
         f"trained {dataset_file.stem}: best epoch {report.best_epoch}/"
         f"{report.epochs_run}, val NMSE {report.val_nmse_db[report.best_epoch - 1]:.2f} dB"
@@ -218,11 +216,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
             print(f"snr {snr:+.1f} dB  {name:<12} {value:8.2f} dB")
 
     out = Path(out_csv) if out_csv else sweep_path(cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["snr_db,estimator,nmse_db,n_test"]
     for snr, name, value in rows:
         lines.append(f"{_fmt(snr)},{name},{_fmt(value)},{cfg.n_test_samples}")
-    out.write_text("\n".join(lines) + "\n")
+    write_artifact(out, [("\n".join(lines) + "\n").encode()])
     return out
 
 
@@ -262,11 +259,10 @@ def cmd_eval_single(model_file, pilot_csv, out_csv) -> Path:
         )
     estimate = predict(params, normalizers, pilot)
     out = Path(out_csv)
-    out.parent.mkdir(parents=True, exist_ok=True)
     lines = ["re,im"]
     for value in estimate:
         lines.append(f"{_fmt(value.real)},{_fmt(value.imag)}")
-    out.write_text("\n".join(lines) + "\n")
+    write_artifact(out, [("\n".join(lines) + "\n").encode()])
     return out
 
 

@@ -25,6 +25,8 @@ from .dataset_pipeline import (
     invert_normalizer,
     pack_complex,
     read_file_aligned,
+    unpack_complex as _rows_to_complex,  # the name faslab_bench/spans.py traces
+    write_artifact,
 )
 from .errors import ChecksumError, FileFormatError, TrainingDivergedError
 
@@ -265,17 +267,9 @@ class AdamState:
         self._scratch = np.empty((2, min(size, _ADAM_BLOCK)))
 
     @classmethod
-    def for_params(
-        cls,
-        params: MlpParams,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps_hat: float = 1e-8,
-    ) -> "AdamState":
-        return cls(
-            params.zeros_like(), params.zeros_like(), 0, learning_rate, beta1, beta2, eps_hat
-        )
+    def for_params(cls, params: MlpParams, learning_rate: float, *constants) -> "AdamState":
+        """Zero moments; ``constants`` are beta1, beta2, eps_hat in order, or their defaults."""
+        return cls(params.zeros_like(), params.zeros_like(), 0, learning_rate, *constants)
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
@@ -404,9 +398,6 @@ class Hyperparams:
     batch_size: int
     max_epochs: int
     patience: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
 
 @dataclass
@@ -425,11 +416,6 @@ class TrainReport:
     best_epoch: int = 0  # 1-indexed
     stopped_early: bool = False
     epochs_run: int = 0
-
-
-def _rows_to_complex(packed: np.ndarray) -> np.ndarray:
-    k = packed.shape[1] // 2
-    return packed[:, :k] + 1j * packed[:, k:]
 
 
 def train(
@@ -469,15 +455,12 @@ def train(
     x_train = apply_normalizer(feat_nrm, train_ds.features)
     t_train = apply_normalizer(tgt_nrm, train_ds.targets)
     x_val = apply_normalizer(feat_nrm, val_ds.features)
-    # float64 first: float32 rows would combine with 1j into complex64.
-    h_val = _rows_to_complex(val_ds.targets.astype(float))
+    h_val = _rows_to_complex(val_ds.targets)
 
     d_in = x_train.shape[1]
     d_out = t_train.shape[1]
     params = init_params(d_in, hyper.hidden_width, d_out, rng)
-    state = AdamState.for_params(
-        params, hyper.learning_rate, hyper.beta1, hyper.beta2, hyper.eps_hat
-    )
+    state = AdamState.for_params(params, hyper.learning_rate)
 
     report = TrainReport()
     best_nmse = np.inf
@@ -585,11 +568,9 @@ def save_model(path, params: MlpParams, normalizers: Normalizers) -> None:
     ):
         pieces.append(np.ascontiguousarray(vec, dtype="<f8"))
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for piece in pieces:
-            digest.update(piece)
-            fh.write(piece)
-        fh.write(digest.digest())
+    for piece in pieces:
+        digest.update(piece)
+    write_artifact(path, [*pieces, digest.digest()])
 
 
 def load_model(path) -> tuple[MlpParams, Normalizers]:

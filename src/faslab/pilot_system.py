@@ -12,9 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _check_rows(idx: np.ndarray, num_ports: int) -> None:
-    """Reject an index matrix unless each row holds distinct ports in
-    [0, num_ports); a duplicate is named by its first slot (row)."""
+def _check_rows(idx: np.ndarray, num_ports: int) -> np.ndarray:
+    """The index matrix as integers, rejected unless each row holds distinct
+    whole-number ports in [0, num_ports); a bad value or a duplicate is
+    named by its first slot (row)."""
+    if idx.dtype.kind not in "iu":
+        floats = idx.dtype.kind == "f"
+        whole = np.isfinite(idx) & (idx == np.round(idx)) if floats else np.zeros(idx.shape, bool)
+        bad = np.flatnonzero(~whole.all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-integer port index in slot {bad[0]}: {idx[bad[0]].tolist()}")
+    idx = idx.astype(int, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= num_ports):
         raise ValueError(
             f"port index out of range [0, {num_ports}): min {idx.min()}, max {idx.max()}"
@@ -23,6 +31,7 @@ def _check_rows(idx: np.ndarray, num_ports: int) -> None:
     bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     if bad.size:
         raise ValueError(f"duplicate port index in slot {bad[0]}: {idx[bad[0]].tolist()}")
+    return idx
 
 
 @dataclass
@@ -39,15 +48,14 @@ class SwitchSchedule:
     num_ports: int
 
     def __post_init__(self):
-        idx = np.asarray(self.port_indices, dtype=int)
+        idx = np.asarray(self.port_indices)
         if idx.ndim != 2:
             raise ValueError(f"port_indices must be 2-D, got shape {idx.shape}")
         if idx.shape[1] > self.num_ports:
             raise ValueError(
                 f"num_antennas {idx.shape[1]} exceeds num_ports {self.num_ports}"
             )
-        _check_rows(idx, self.num_ports)
-        self.port_indices = idx
+        self.port_indices = _check_rows(idx, self.num_ports)
 
     @property
     def num_slots(self) -> int:
@@ -81,10 +89,10 @@ def build_switch_matrix(row, num_ports: int) -> np.ndarray:
     Stored schedules keep index rows only; this dense form exists for
     verifying the orthonormal-column property S^T S = I.
     """
-    row = np.asarray(row, dtype=int)
+    row = np.asarray(row)
     if row.ndim != 1:
         raise ValueError(f"row must be 1-D, got shape {row.shape}")
-    _check_rows(row[None, :], num_ports)
+    row = _check_rows(row[None, :], num_ports)[0]
     s = np.zeros((num_ports, row.size))
     s[row, np.arange(row.size)] = 1.0
     return s

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faslab import dataset_pipeline
 from faslab.config import ExperimentConfig, dataset_fingerprint, desk_profile
 from faslab.dataset_pipeline import (
     Dataset,
@@ -60,6 +61,21 @@ class TestPacking:
     def test_unpack_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             unpack_complex(np.array([1.0, 2.0, 3.0]))
+
+    def test_unpack_row_matrix_row_by_row_in_float64(self):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+        assert np.array_equal(unpack_complex(pack_complex(m)), m)
+        rows = pack_complex(m).astype(np.float32)
+        unpacked = unpack_complex(rows)
+        assert unpacked.dtype == np.complex128
+        assert np.array_equal(unpacked, [unpack_complex(row) for row in rows])
+
+    def test_unpack_rejects_odd_row_width_and_a_scalar(self):
+        with pytest.raises(ValueError, match="even"):
+            unpack_complex(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="even"):
+            unpack_complex(np.float64(1.0))
 
 
 class TestGenerateDataset:
@@ -141,6 +157,13 @@ class TestSplit:
         t2, v2 = split(ds, 0.2, np.random.default_rng(3))
         assert np.array_equal(t1.features, t2.features)
         assert np.array_equal(v1.features, v2.features)
+
+    def test_parts_share_no_memory_with_source(self):
+        ds = self.make_dataset(20)
+        for part in split(ds, 0.25, np.random.default_rng(4)):
+            for arr in (part.features, part.targets):
+                assert not np.shares_memory(arr, ds.features)
+                assert not np.shares_memory(arr, ds.targets)
 
     def test_degenerate_split_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -281,3 +304,32 @@ class TestStorage:
                 assert not np.shares_memory(x, y)
         a.features[0, 0] += 1.0
         assert a.features[0, 0] != b.features[0, 0]
+
+
+class TestWriteArtifact:
+    @staticmethod
+    def cut_short():
+        yield b"partial"
+        raise RuntimeError("cut short")
+
+    def test_writes_chunks_in_order_and_creates_parent(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "out.bin"
+        chunks = [b"ab", memoryview(b"cd"), np.arange(2, dtype=np.uint8)]
+        dataset_pipeline.write_artifact(path, chunks)
+        assert path.read_bytes() == b"abcd\x00\x01"
+        assert list(path.parent.iterdir()) == [path]
+
+    def test_interrupted_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "model.fasm"
+        with pytest.raises(RuntimeError, match="cut short"):
+            dataset_pipeline.write_artifact(path, self.cut_short())
+        assert not path.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_interrupted_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "model.fasm"
+        path.write_bytes(b"earlier")
+        with pytest.raises(RuntimeError, match="cut short"):
+            dataset_pipeline.write_artifact(path, self.cut_short())
+        assert path.read_bytes() == b"earlier"
+        assert list(tmp_path.iterdir()) == [path]

@@ -38,6 +38,13 @@ class TestBuildSwitchMatrix:
         with pytest.raises(ValueError, match="range"):
             build_switch_matrix([0, 4], 4)
 
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValueError, match="non-integer port index in slot 0"):
+            build_switch_matrix([0.2, 2.7], 4)
+        with pytest.raises(ValueError, match="non-integer"):
+            build_switch_matrix([True, False], 4)
+        assert np.array_equal(build_switch_matrix([0.0, 2.0], 4), build_switch_matrix([0, 2], 4))
+
 
 class TestSwitchSchedule:
     def test_validates_rows(self):
@@ -51,6 +58,19 @@ class TestSwitchSchedule:
     def test_duplicate_names_first_bad_slot(self):
         with pytest.raises(ValueError, match="slot 2"):
             SwitchSchedule(np.array([[0, 1], [2, 3], [3, 3]]), 4)
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(ValueError, match="non-integer port index in slot 0"):
+            SwitchSchedule(np.array([[0.5, 1.9]]), 4)
+        with pytest.raises(ValueError, match="non-integer port index in slot 0"):
+            SwitchSchedule(np.array([[True, False]]), 4)
+        with pytest.raises(ValueError, match="slot 1"):
+            SwitchSchedule(np.array([[0.0, 1.0], [2.0, np.nan]]), 4)
+
+    def test_whole_number_floats_accepted(self):
+        sched = SwitchSchedule(np.array([[0.0, 2.0]]), 4)
+        assert sched.port_indices.tolist() == [[0, 2]]
+        assert sched.port_indices.dtype.kind == "i"
 
     def test_zero_slots_allowed(self):
         sched = SwitchSchedule(np.empty((0, 2), dtype=int), 8)
