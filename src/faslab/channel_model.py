@@ -71,10 +71,21 @@ def steering_matrix(geometry: ArrayGeometry, cos_values) -> np.ndarray:
     """Unit-norm ULA responses, one column per direction cosine.
 
     Entry (n, k) is (1/sqrt(N)) * exp(j * 2*pi * (d/lambda) * n * cos_values[k]).
+    Leading axes of ``cos_values`` lead the result: cosines of shape
+    (..., K) give responses of shape (..., N, K).
     """
+    cos_values = np.asarray(cos_values, dtype=float)
     n = np.arange(geometry.num_ports)
-    phases = 2.0 * np.pi * geometry.spacing_ratio * np.outer(n, cos_values)
-    return np.exp(1j * phases) / np.sqrt(geometry.num_ports)
+    phases = n[:, None] * cos_values[..., None, :]
+    phases *= 2.0 * np.pi * geometry.spacing_ratio
+    out = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=out.real)
+    np.sin(phases, out=out.imag)
+    # A complex product, as exp(j*phi) is: both turn the sine -0.0 of a -0.0
+    # phase (port 0, negative cosine) into +0.0.  Scaling the real and
+    # imaginary parts as floats would keep the -0.0.
+    out *= 1.0 / np.sqrt(geometry.num_ports)
+    return out
 
 
 def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
@@ -86,55 +97,113 @@ def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     return steering_matrix(geometry, [np.cos(theta)])[:, 0]
 
 
+@dataclass
+class RayDraws:
+    """The raw randomness of channels' rays, with any leading axes.
+
+    ``centers`` (..., C) holds the cluster centers, ``offsets`` (..., C, R)
+    the per-ray angle offsets and ``normals`` (..., 2, C, R) the real, then
+    the imaginary, standard-normal gain blocks.  A block of channels keeps
+    one row per channel in preallocated buffers (:meth:`empty`), each row
+    drawn from its own stream, and its angles and gains go to
+    :func:`channel_from_rays` in one call.
+    """
+
+    centers: np.ndarray
+    offsets: np.ndarray
+    normals: np.ndarray
+
+    @classmethod
+    def empty(cls, cfg: ScatteringConfig, shape: tuple = ()) -> "RayDraws":
+        """Uninitialized buffers for channels of leading shape ``shape``
+        (the default is one channel)."""
+        c, r = cfg.num_clusters, cfg.rays_per_cluster
+        return cls(np.empty((*shape, c)), np.empty((*shape, c, r)), np.empty((*shape, 2, c, r)))
+
+    def head(self, count: int) -> "RayDraws":
+        """Views of the first ``count`` rows."""
+        return RayDraws(self.centers[:count], self.offsets[:count], self.normals[:count])
+
+    def draw_angles(self, cfg: ScatteringConfig, rng: np.random.Generator, row=()) -> None:
+        """Draw the centers, then the offsets, of channel ``row`` from ``rng``.
+
+        Cluster centers are uniform on (-pi, pi); each ray is offset from its
+        center by an independent uniform draw on [-spread/2, +spread/2].
+        """
+        self.centers[row] = rng.uniform(-np.pi, np.pi, size=cfg.num_clusters)
+        half = 0.5 * cfg.max_angle_spread
+        self.offsets[row] = rng.uniform(
+            -half, half, size=(cfg.num_clusters, cfg.rays_per_cluster)
+        )
+
+    def draw_gains(self, rng: np.random.Generator, row=()) -> None:
+        """Draw the real, then the imaginary, gain block of channel ``row``."""
+        rng.standard_normal(out=self.normals[row])
+
+    def draw(self, cfg: ScatteringConfig, rng: np.random.Generator, row=()) -> None:
+        """Draw all of channel ``row``: angles first, then gains."""
+        self.draw_angles(cfg, rng, row)
+        self.draw_gains(rng, row)
+
+    def angles(self) -> np.ndarray:
+        """Ray angles (..., C, R), center plus offset.  Angles are not wrapped
+        back into (-pi, pi]; the array response only sees cos(theta), which
+        is periodic."""
+        return self.centers[..., None] + self.offsets
+
+    def gains(self) -> np.ndarray:
+        """Ray gains (..., C, R): g = (x + j*y) / sqrt(2), so the real and
+        imaginary parts each carry variance 1/2."""
+        return (self.normals[..., 0, :, :] + 1j * self.normals[..., 1, :, :]) / np.sqrt(2.0)
+
+
 def draw_angles(cfg: ScatteringConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw a (num_clusters, rays_per_cluster) matrix of arrival angles.
 
-    Cluster centers are uniform on (-pi, pi); each ray is offset from its
-    center by an independent uniform draw on [-spread/2, +spread/2].  Draw
-    order is part of the determinism contract: the C centers first, then the
-    C x R offset block.  Angles are not wrapped back into (-pi, pi]; the
-    array response only sees cos(theta), which is periodic.
+    Draw order is part of the determinism contract: the C centers first,
+    then the C x R offset block (:meth:`RayDraws.draw_angles`).
     """
-    centers = rng.uniform(-np.pi, np.pi, size=cfg.num_clusters)
-    half = 0.5 * cfg.max_angle_spread
-    offsets = rng.uniform(
-        -half, half, size=(cfg.num_clusters, cfg.rays_per_cluster)
-    )
-    return centers[:, None] + offsets
+    rays = RayDraws.empty(cfg)
+    rays.draw_angles(cfg, rng)
+    return rays.angles()
 
 
 def draw_gains(cfg: ScatteringConfig, rng: np.random.Generator) -> np.ndarray:
     """Per-ray circularly symmetric complex Gaussian gains with unit variance.
 
-    g = (x + j*y) / sqrt(2) with x, y i.i.d. standard normal, so the real and
-    imaginary parts each carry variance 1/2.  The real block is drawn before
-    the imaginary block (determinism contract).
+    The real block is drawn before the imaginary block (determinism
+    contract; :meth:`RayDraws.gains`).
     """
-    shape = (cfg.num_clusters, cfg.rays_per_cluster)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    rays = RayDraws.empty(cfg)
+    rays.draw_gains(rng)
+    return rays.gains()
 
 
 def channel_from_rays(
     angles: np.ndarray, gains: np.ndarray, geometry: ArrayGeometry
 ) -> np.ndarray:
-    """Assemble the port-domain channel from explicit ray angles and gains.
+    """Assemble port-domain channels from explicit ray angles and gains.
 
-    h = sqrt(N / K) * sum_k gains[k] * a(angles[k]) over all K rays.  The
-    scaling makes E[||h||^2] = N when gains are unit-variance.  Exposed
+    The last two axes hold one channel's rays (clusters x rays per cluster)
+    and any leading axes index channels: rays of shape (..., C, R) give
+    channels of shape (..., N), all synthesized in one stacked product.
+    h = sqrt(N / K) * sum_k gains[k] * a(angles[k]) over the K = C*R rays.
+    The scaling makes E[||h||^2] = N when gains are unit-variance.  Exposed
     separately from :func:`draw_channel` so deterministic ray sets can be
     fed in directly.
     """
     angles = np.asarray(angles, dtype=float)
     gains = np.asarray(gains)
-    if angles.shape != gains.shape:
+    if angles.shape != gains.shape or angles.ndim < 2:
         raise ValueError(
-            f"angles shape {angles.shape} != gains shape {gains.shape}"
+            f"angles shape {angles.shape} and gains shape {gains.shape} must "
+            "be equal, (..., clusters, rays per cluster)"
         )
-    atoms = steering_matrix(geometry, np.cos(angles.ravel()))
-    scale = np.sqrt(geometry.num_ports / angles.size)
-    return scale * (atoms @ gains.ravel())
+    lead = angles.shape[:-2]
+    k = angles.shape[-2] * angles.shape[-1]
+    atoms = steering_matrix(geometry, np.cos(angles.reshape(*lead, k)))
+    scale = np.sqrt(geometry.num_ports / k)
+    return scale * (atoms @ gains.reshape(*lead, k, 1))[..., 0]
 
 
 def draw_channel(
@@ -142,9 +211,9 @@ def draw_channel(
 ) -> np.ndarray:
     """Draw one clustered-scattering channel vector of length num_ports.
 
-    Angles are drawn first, then gains (see the respective functions for the
+    Angles are drawn first, then gains (see :class:`RayDraws` for the
     in-draw ordering).
     """
-    angles = draw_angles(cfg, rng)
-    gains = draw_gains(cfg, rng)
-    return channel_from_rays(angles, gains, geometry)
+    rays = RayDraws.empty(cfg)
+    rays.draw(cfg, rng)
+    return channel_from_rays(rays.angles(), rays.gains(), geometry)

@@ -18,7 +18,12 @@ import numpy as np
 
 from .channel_model import ArrayGeometry, ScatteringConfig
 from .errors import ConfigError
-from .pilot_system import SwitchSchedule, random_schedule, sequential_schedule
+from .pilot_system import (
+    SwitchSchedule,
+    noise_variance_for_snr,
+    random_schedule,
+    sequential_schedule,
+)
 
 SCHEDULE_KINDS = ("sequential", "random")
 
@@ -56,6 +61,13 @@ def _coerce(name: str, default, value):
     if not ok:
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def _finite_noise_variance(snr_db: float) -> bool:
+    try:
+        return math.isfinite(noise_variance_for_snr(snr_db))
+    except OverflowError:
+        return False
 
 
 @dataclass
@@ -114,6 +126,11 @@ class ExperimentConfig:
             and all(math.isfinite(s) for s in self.snr_db_list),
             "snr_db_list",
             "must be a non-empty list of finite values",
+        )
+        check(
+            all(_finite_noise_variance(s) for s in self.snr_db_list),
+            "snr_db_list",
+            "an SNR so low that its noise variance 10^(-SNR/10) overflows",
         )
         check(
             self.schedule_kind in SCHEDULE_KINDS,

@@ -16,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel_model import draw_channel
+from .channel_model import RayDraws, channel_from_rays
+from .channel_model import draw_channel  # unused here; faslab_bench/spans.py traces it
 from .config import ExperimentConfig, dataset_fingerprint
 from .errors import ChecksumError, FileFormatError
-from .pilot_system import noise_variance_for_snr, observe
+from .pilot_system import add_noise, noise_variance_for_snr
+from .pilot_system import observe  # unused here; faslab_bench/spans.py traces it
 
 MAGIC = b"FASD"
 VERSION = 1
@@ -34,6 +36,14 @@ _HEADER = struct.Struct("<4sHIIIQII")
 _MIXED_STREAM_KEY = 2**32
 _POS_INF_KEY = 2**32 + 1
 _NEG_INF_KEY = 2**32 + 2
+
+# Steering entries per synthesis block.  A block holds
+# _SYNTH_BLOCK // (N * K) rows (16 desk rows, 4 paper rows), so its
+# (rows, N, K) complex steering tensor is about 320 KB and stays in cache
+# with its phase temporaries.  A 2 000-row batch ran slower than one row at
+# a time because of its large temporaries; blocks 2-4x larger than this one
+# measured no faster.
+_SYNTH_BLOCK = 20_480
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -110,26 +120,42 @@ def snr_stream_key(snr_db) -> int:
 
 
 def draw_samples(cfg: ExperimentConfig, snr_db, master_seed: int, n: int):
-    """Yield ``n`` pairs (h, y): a channel of length num_ports and its
-    complex slot-major pilot samples, sample i drawn from its own stream
-    (master_seed, SNR key, i).
+    """Yield ``n`` rows as blocks ``(lo, h, y)`` in row order: channels
+    ``h`` (rows, num_ports) and their complex slot-major pilot samples
+    ``y`` (rows, P*M), row 0 of the block being sample ``lo``.
 
-    ``snr_db`` is a single SNR in dB, or a sequence of SNRs for the mixed
-    mode, where each sample draws its SNR uniformly from the list (that
-    choice comes first in the per-sample stream, then the channel, then the
-    noise).
+    Sample i is drawn from its own stream (master_seed, SNR key, i); a
+    block's channels and noise are then synthesized together, byte for byte
+    as :func:`draw_channel` then :func:`observe` on that stream would give
+    them.  ``snr_db`` is a single SNR in dB, or a sequence of SNRs for the
+    mixed mode, where each sample draws its SNR uniformly from the list
+    (that choice comes first in the per-sample stream, then the channel,
+    then the noise; a noise variance of 0 draws no noise).
     """
     geometry = cfg.geometry()
     scattering = cfg.scattering()
-    schedule = cfg.build_schedule()
+    flat = cfg.build_schedule().flat_indices()
     mixed = isinstance(snr_db, (list, tuple))
     variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
     key = snr_stream_key(snr_db)
-    for i in range(n):
-        rng = sample_stream(master_seed, key, i)
-        sigma2 = variances[rng.integers(len(variances))] if mixed else variances[0]
-        h = draw_channel(scattering, geometry, rng)
-        yield h, observe(h, schedule, sigma2, rng).samples
+    rows = max(1, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
+    rays = RayDraws.empty(scattering, (rows,))
+    # Zeroed so that the rows of a noiseless sample hold finite values.
+    normals = np.zeros((rows, 2, flat.size))
+    sigma2 = np.empty(rows)
+    for lo in range(0, n, rows):
+        count = min(rows, n - lo)
+        for j in range(count):
+            rng = sample_stream(master_seed, key, lo + j)
+            sigma2[j] = variances[rng.integers(len(variances))] if mixed else variances[0]
+            rays.draw(scattering, rng, j)
+            if sigma2[j] > 0:
+                rng.standard_normal(out=normals[j])
+        block = rays.head(count)
+        h = channel_from_rays(block.angles(), block.gains(), geometry)
+        y = h[:, flat]
+        add_noise(y, normals[:count], sigma2[:count])
+        yield lo, h, y
 
 
 def generate_dataset(
@@ -148,12 +174,13 @@ def generate_dataset(
     n_ports = cfg.num_ports
     features = np.empty((n_samples, 2 * pm), dtype=np.float32)
     targets = np.empty((n_samples, 2 * n_ports), dtype=np.float32)
-    # The pack_complex layout, written in place: no per-row temporaries.
-    for i, (h, y) in enumerate(draw_samples(cfg, snr_db, master_seed, n_samples)):
-        features[i, :pm] = y.real
-        features[i, pm:] = y.imag
-        targets[i, :n_ports] = h.real
-        targets[i, n_ports:] = h.imag
+    # The pack_complex layout, written in place: no per-block temporaries.
+    for lo, h, y in draw_samples(cfg, snr_db, master_seed, n_samples):
+        hi = lo + len(h)
+        features[lo:hi, :pm] = y.real
+        features[lo:hi, pm:] = y.imag
+        targets[lo:hi, :n_ports] = h.real
+        targets[lo:hi, n_ports:] = h.imag
     return Dataset(
         features,
         targets,

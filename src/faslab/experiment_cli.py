@@ -10,6 +10,7 @@ seeds): re-running reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -200,8 +201,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
             model_cache[mfile] = load_model(mfile)
         params, normalizers = model_cache[mfile]
         # A fresh test set, from the test seed's own stream family.
-        samples = draw_samples(cfg, snr, cfg.seeds.test, cfg.n_test_samples)
-        channels, pilots = map(np.array, zip(*samples))
+        _, blocks_h, blocks_y = zip(*draw_samples(cfg, snr, cfg.seeds.test, cfg.n_test_samples))
+        channels, pilots = np.concatenate(blocks_h), np.concatenate(blocks_y)
 
         estimates = {
             "mlp": predict_batch(params, normalizers, pilots),
@@ -242,6 +243,8 @@ def _parse_complex_csv(path) -> np.ndarray:
                 re_part, im_part = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(re_part) and math.isfinite(im_part)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {text!r}")
             values.append(complex(re_part, im_part))
     return np.array(values, dtype=complex)
 

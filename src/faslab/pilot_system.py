@@ -154,12 +154,21 @@ def observe(
         raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
     samples = h[sched.flat_indices()].astype(complex)
     if sigma2 > 0:
-        n = samples.size
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(
-            sigma2 / 2.0
-        )
-        samples = samples + noise
+        add_noise(samples, rng.standard_normal((2, samples.size)), sigma2)
     return PilotObservation(samples, float(sigma2))
+
+
+def add_noise(samples: np.ndarray, normals: np.ndarray, sigma2) -> None:
+    """Add complex Gaussian noise to complex ``samples`` (..., m) in place.
+
+    The noise is (normals[..., 0, :] + j*normals[..., 1, :]) * sqrt(sigma2/2)
+    from standard normals (..., 2, m), the real block first.  ``sigma2`` is
+    one variance or one per row (...); a row whose variance is 0 gets no
+    noise added.
+    """
+    sigma2 = np.asarray(sigma2, dtype=float)[..., None]
+    noise = (normals[..., 0, :] + 1j * normals[..., 1, :]) * np.sqrt(sigma2 / 2.0)
+    np.add(samples, noise, out=samples, where=sigma2 > 0)
 
 
 def noise_variance_for_snr(snr_db: float) -> float:

@@ -10,6 +10,7 @@ from faslab.channel_model import (
     draw_angles,
     draw_channel,
     draw_gains,
+    steering_matrix,
     steering_vector,
 )
 
@@ -76,6 +77,36 @@ class TestSteeringVector:
             )
 
 
+class TestSteeringMatrix:
+    @staticmethod
+    def exp_form(geometry, cos_values):
+        # The defining formula, one complex exp per entry.
+        n = np.arange(geometry.num_ports)
+        phases = 2.0 * np.pi * geometry.spacing_ratio * np.outer(n, cos_values)
+        return np.exp(1j * phases) / np.sqrt(geometry.num_ports)
+
+    @pytest.mark.parametrize("num_ports", [64, 256])
+    def test_bytes_equal_the_exp_formula(self, num_ports):
+        # tobytes(), so the sign of a zero counts: port 0 with a negative
+        # cosine has a phase of -0.0.
+        geometry = ArrayGeometry(num_ports, 10.0)
+        grid = -1.0 + 2.0 * np.arange(4 * num_ports) / (4 * num_ports)
+        random = np.cos(np.random.default_rng(5).uniform(-np.pi, np.pi, 20_000))
+        for cos_values in (grid, random, np.array([-0.0, 0.0, -1.0, 1.0])):
+            expected = self.exp_form(geometry, cos_values)
+            assert steering_matrix(geometry, cos_values).tobytes() == expected.tobytes()
+
+    def test_batched_call_equals_one_call_per_row(self):
+        geometry = ArrayGeometry(64, 10.0)
+        cos_values = np.cos(np.random.default_rng(8).uniform(-np.pi, np.pi, (3, 5, 20)))
+        cos_values[0, 0, :2] = [-0.0, 0.0]
+        batched = steering_matrix(geometry, cos_values)
+        assert batched.shape == (3, 5, 64, 20)
+        for index in np.ndindex(3, 5):
+            one = steering_matrix(geometry, cos_values[index])
+            assert batched[index].tobytes() == one.tobytes()
+
+
 class TestDrawAngles:
     def test_zero_spread_collapses_rays(self):
         cfg = ScatteringConfig(3, 5, 0.0)
@@ -113,6 +144,22 @@ class TestDrawChannel:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             channel_from_rays([[0.1, 0.2]], [[1.0]], ArrayGeometry(4, 1.5))
+
+    def test_rays_without_a_cluster_axis_rejected(self):
+        with pytest.raises(ValueError, match="clusters"):
+            channel_from_rays([0.1, 0.2], [1.0, 1.0], ArrayGeometry(4, 1.5))
+
+    def test_stacked_rays_equal_one_call_per_channel(self):
+        geometry = ArrayGeometry(64, 10.0)
+        cfg = ScatteringConfig(2, 10, np.radians(5.0))
+        rng = np.random.default_rng(21)
+        angles = np.stack([draw_angles(cfg, rng) for _ in range(7)])
+        gains = np.stack([draw_gains(cfg, rng) for _ in range(7)])
+        stacked = channel_from_rays(angles, gains, geometry)
+        assert stacked.shape == (7, 64)
+        for i in range(7):
+            one = channel_from_rays(angles[i], gains[i], geometry)
+            assert stacked[i].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("clusters,rays", [(1, 1), (2, 10)])
     def test_average_power_monte_carlo(self, clusters, rays):

@@ -325,6 +325,19 @@ class TestEvalSingle:
         with pytest.raises(ValueError, match=r"bad\.csv:3"):
             cmd_eval_single(tmp_path / "missing.fasm", bad, tmp_path / "out.csv")
 
+    @pytest.mark.parametrize("row", ["nan,0.2", "0.1,inf", "0.1,-Infinity"])
+    def test_non_finite_value_reports_line_number(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"re,im\n0.1,0.2\n{row}\n")
+        out = tmp_path / "out.csv"
+        rc = main([
+            "eval-single", "--model", str(tmp_path / "missing.fasm"),
+            "--pilots", str(bad), "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"bad.csv:3: non-finite value in '{row}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_length_rejected(self, tmp_path):
         cfg = micro_config(tmp_path, snr_db_list=[10.0])
         files = cmd_generate(cfg)
@@ -361,6 +374,17 @@ class TestMainEntry:
         rc = main(["generate", "--config", str(cfg_file)])
         assert rc == 1
         assert "rho" in capsys.readouterr().err
+
+    def test_snr_whose_noise_variance_overflows_exits_nonzero(self, tmp_path, capsys):
+        # 10^(4000/10) overflows a float64; -3000 dB still fits.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "snr_db_list": [-3000.0, -4000.0], "dataset_dir": str(tmp_path / "d"),
+        }))
+        rc = main(["generate", "--config", str(cfg_file), "--profile", "desk"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: snr_db_list: ")
+        assert not (tmp_path / "d").exists()
 
     def test_training_divergence_exits_nonzero(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -18,7 +18,9 @@ from faslab.dataset_pipeline import (
     split,
     unpack_complex,
 )
+from faslab.channel_model import draw_channel
 from faslab.errors import ChecksumError, FileFormatError
+from faslab.pilot_system import noise_variance_for_snr, observe
 
 
 def micro_config(**overrides):
@@ -76,6 +78,72 @@ class TestPacking:
             unpack_complex(np.ones((2, 3)))
         with pytest.raises(ValueError, match="even"):
             unpack_complex(np.float64(1.0))
+
+
+def per_sample(cfg, snr_db, seed, n):
+    """The reference for draw_samples: draw_channel then observe on each
+    sample's own stream, one sample at a time."""
+    mixed = isinstance(snr_db, list)
+    variances = [noise_variance_for_snr(s) for s in (snr_db if mixed else [snr_db])]
+    key = dataset_pipeline.snr_stream_key(snr_db)
+    schedule = cfg.build_schedule()
+    channels, pilots = [], []
+    for i in range(n):
+        rng = dataset_pipeline.sample_stream(seed, key, i)
+        sigma2 = variances[rng.integers(len(variances))] if mixed else variances[0]
+        h = draw_channel(cfg.scattering(), cfg.geometry(), rng)
+        channels.append(h)
+        pilots.append(observe(h, schedule, sigma2, rng).samples)
+    return np.array(channels), np.array(pilots)
+
+
+class TestDrawSamples:
+    """Blocks of draw_samples are byte-equal to per-sample calls."""
+
+    @staticmethod
+    def blocks(cfg, snr_db, seed, n):
+        blocks = list(dataset_pipeline.draw_samples(cfg, snr_db, seed, n))
+        starts = [lo for lo, _, _ in blocks]
+        sizes = [len(h) for _, h, _ in blocks]
+        assert starts == list(np.cumsum([0] + sizes[:-1]))
+        assert sum(sizes) == n and len(set(sizes[:-1])) <= 1
+        assert all(len(y) == len(h) for _, h, y in blocks)
+        return blocks
+
+    def assert_matches_per_sample(self, cfg, snr_db, n, seed=17):
+        blocks = self.blocks(cfg, snr_db, seed, n)
+        channels, pilots = per_sample(cfg, snr_db, seed, n)
+        assert np.concatenate([h for _, h, _ in blocks]).tobytes() == channels.tobytes()
+        assert np.concatenate([y for _, _, y in blocks]).tobytes() == pilots.tobytes()
+        return blocks
+
+    def test_desk_rows_per_block(self):
+        # 20 rays over 64 ports: the documented 16 desk rows per block.
+        blocks = self.blocks(desk_profile(), 0.0, 1, 40)
+        assert [len(h) for _, h, _ in blocks] == [16, 16, 8]
+
+    @pytest.mark.parametrize("n", [3, 37])
+    def test_sequential_schedule(self, n):
+        # 3 rows fill less than one block; 37 is not a multiple of 16.
+        self.assert_matches_per_sample(desk_profile(), -10.0, n)
+
+    def test_random_schedule_revisiting_ports(self):
+        cfg = desk_profile()
+        cfg.schedule_kind, cfg.num_slots = "random", 24  # 96 samples, 64 ports
+        self.assert_matches_per_sample(cfg, 10.0, 37)
+
+    def test_mixed_snr_with_a_noiseless_entry(self):
+        cfg = desk_profile()
+        cfg.schedule_kind = "random"
+        snr_db = [0.0, 4000.0]  # 10^-400 underflows: sigma2 = 0
+        assert noise_variance_for_snr(4000.0) == 0.0
+        blocks = self.assert_matches_per_sample(cfg, snr_db, 37)
+        flat = cfg.build_schedule().flat_indices()
+        noiseless = [np.array_equal(y[j], h[j, flat]) for _, h, y in blocks for j in range(len(h))]
+        assert 0 < sum(noiseless) < len(noiseless)
+
+    def test_one_row(self):
+        self.assert_matches_per_sample(micro_config(), 5.0, 1)
 
 
 class TestGenerateDataset:

@@ -6,6 +6,7 @@ import pytest
 from faslab.pilot_system import (
     PilotObservation,
     SwitchSchedule,
+    add_noise,
     build_switch_matrix,
     noise_variance_for_snr,
     observe,
@@ -180,6 +181,23 @@ class TestObserve:
         sched = sequential_schedule(4, 2, 2)
         with pytest.raises(ValueError, match="sigma2"):
             observe(np.zeros(4, complex), sched, -1.0, np.random.default_rng(0))
+
+
+class TestAddNoise:
+    def test_per_row_variance_and_rows_without_noise_untouched(self):
+        # Row 0 has sigma2 = 0: its -0.0 entries stay -0.0 (adding a zero
+        # noise would make them +0.0) and its normals are not used.
+        samples = np.array([[-0.0 - 0.0j, 2.0 + 1.0j], [1.0 + 1.0j, -1.0 + 0.5j]])
+        before = samples.copy()
+        normals = np.array([[[5.0, 5.0], [5.0, 5.0]], [[1.0, -2.0], [3.0, 0.5]]])
+        add_noise(samples, normals, np.array([0.0, 8.0]))  # sqrt(8/2) = 2
+        assert samples[0].tobytes() == before[0].tobytes()
+        assert np.array_equal(samples[1], before[1] + 2.0 * np.array([1 + 3j, -2 + 0.5j]))
+
+    def test_one_variance_for_a_vector(self):
+        samples = np.zeros(3, dtype=complex)
+        add_noise(samples, np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0]]), 0.5)
+        assert np.array_equal(samples, 0.5 * np.array([1 + 0j, 2 - 1j, 3 + 1j]))
 
 
 class TestNoiseVarianceForSnr:
