@@ -97,20 +97,28 @@ def steering_vector(theta: float, geometry: ArrayGeometry) -> np.ndarray:
     return steering_matrix(geometry, [np.cos(theta)])[:, 0]
 
 
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Uniform draws on [low, high) from draws ``u`` on [0, 1): numpy's
+    ``random_uniform`` formula, so ``rng.uniform(low, high, size)`` gives
+    the same bytes as this on ``rng.random(size)``."""
+    return low + (high - low) * u
+
+
 @dataclass
 class RayDraws:
     """The raw randomness of channels' rays, with any leading axes.
 
-    ``centers`` (..., C) holds the cluster centers, ``offsets`` (..., C, R)
-    the per-ray angle offsets and ``normals`` (..., 2, C, R) the real, then
-    the imaginary, standard-normal gain blocks.  A block of channels keeps
-    one row per channel in preallocated buffers (:meth:`empty`), each row
-    drawn from its own stream, and its angles and gains go to
-    :func:`channel_from_rays` in one call.
+    ``uniforms`` (..., C + C*R) holds each channel's draws on [0, 1): its C
+    cluster centers, then its C x R per-ray angle offsets, row-major.
+    ``normals`` (..., 2, C, R) holds the real, then the imaginary,
+    standard-normal gain blocks.  A block of channels keeps one row per
+    channel in preallocated buffers (:meth:`empty`), each row drawn from its
+    own stream, and its angles and gains go to :func:`channel_from_rays` in
+    one call.
     """
 
-    centers: np.ndarray
-    offsets: np.ndarray
+    cfg: ScatteringConfig
+    uniforms: np.ndarray
     normals: np.ndarray
 
     @classmethod
@@ -118,38 +126,39 @@ class RayDraws:
         """Uninitialized buffers for channels of leading shape ``shape``
         (the default is one channel)."""
         c, r = cfg.num_clusters, cfg.rays_per_cluster
-        return cls(np.empty((*shape, c)), np.empty((*shape, c, r)), np.empty((*shape, 2, c, r)))
+        return cls(cfg, np.empty((*shape, c + c * r)), np.empty((*shape, 2, c, r)))
 
     def head(self, count: int) -> "RayDraws":
         """Views of the first ``count`` rows."""
-        return RayDraws(self.centers[:count], self.offsets[:count], self.normals[:count])
+        return RayDraws(self.cfg, self.uniforms[:count], self.normals[:count])
 
-    def draw_angles(self, cfg: ScatteringConfig, rng: np.random.Generator, row=()) -> None:
-        """Draw the centers, then the offsets, of channel ``row`` from ``rng``.
-
-        Cluster centers are uniform on (-pi, pi); each ray is offset from its
-        center by an independent uniform draw on [-spread/2, +spread/2].
-        """
-        self.centers[row] = rng.uniform(-np.pi, np.pi, size=cfg.num_clusters)
-        half = 0.5 * cfg.max_angle_spread
-        self.offsets[row] = rng.uniform(
-            -half, half, size=(cfg.num_clusters, cfg.rays_per_cluster)
-        )
+    def draw_angles(self, rng: np.random.Generator, row=()) -> None:
+        """Draw the centers, then the offsets, of channel ``row`` from ``rng``
+        in one call; :meth:`angles` maps them to their ranges."""
+        rng.random(out=self.uniforms[row])
 
     def draw_gains(self, rng: np.random.Generator, row=()) -> None:
         """Draw the real, then the imaginary, gain block of channel ``row``."""
         rng.standard_normal(out=self.normals[row])
 
-    def draw(self, cfg: ScatteringConfig, rng: np.random.Generator, row=()) -> None:
+    def draw(self, rng: np.random.Generator, row=()) -> None:
         """Draw all of channel ``row``: angles first, then gains."""
-        self.draw_angles(cfg, rng, row)
+        self.draw_angles(rng, row)
         self.draw_gains(rng, row)
 
     def angles(self) -> np.ndarray:
-        """Ray angles (..., C, R), center plus offset.  Angles are not wrapped
-        back into (-pi, pi]; the array response only sees cos(theta), which
-        is periodic."""
-        return self.centers[..., None] + self.offsets
+        """Ray angles (..., C, R), center plus offset.
+
+        Cluster centers are uniform on (-pi, pi); each ray is offset from its
+        center by an independent uniform draw on [-spread/2, +spread/2]: the
+        bytes of ``rng.uniform`` with those bounds, centers first.  Angles
+        are not wrapped back into (-pi, pi]; the array response only sees
+        cos(theta), which is periodic."""
+        c, r = self.cfg.num_clusters, self.cfg.rays_per_cluster
+        half = 0.5 * self.cfg.max_angle_spread
+        centers = _uniform(self.uniforms[..., :c], -np.pi, np.pi)
+        offsets = _uniform(self.uniforms[..., c:], -half, half)
+        return centers[..., None] + offsets.reshape(*offsets.shape[:-1], c, r)
 
     def gains(self) -> np.ndarray:
         """Ray gains (..., C, R): g = (x + j*y) / sqrt(2), so the real and
@@ -161,10 +170,10 @@ def draw_angles(cfg: ScatteringConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw a (num_clusters, rays_per_cluster) matrix of arrival angles.
 
     Draw order is part of the determinism contract: the C centers first,
-    then the C x R offset block (:meth:`RayDraws.draw_angles`).
+    then the C x R offset block (:meth:`RayDraws.angles`).
     """
     rays = RayDraws.empty(cfg)
-    rays.draw_angles(cfg, rng)
+    rays.draw_angles(rng)
     return rays.angles()
 
 
@@ -215,5 +224,5 @@ def draw_channel(
     in-draw ordering).
     """
     rays = RayDraws.empty(cfg)
-    rays.draw(cfg, rng)
+    rays.draw(rng)
     return channel_from_rays(rays.angles(), rays.gains(), geometry)

@@ -8,6 +8,7 @@ normalization-agnostic.
 from __future__ import annotations
 
 import hashlib
+import operator
 import os
 import struct
 import warnings
@@ -15,12 +16,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channel_model import RayDraws, channel_from_rays
 from .channel_model import draw_channel  # unused here; faslab_bench/spans.py traces it
 from .config import ExperimentConfig, dataset_fingerprint
 from .errors import ChecksumError, FileFormatError
-from .pilot_system import add_noise, noise_variance_for_snr
+from .pilot_system import SwitchSchedule, add_noise, noise_variance_for_snr
 from .pilot_system import observe  # unused here; faslab_bench/spans.py traces it
 
 MAGIC = b"FASD"
@@ -36,6 +38,14 @@ _HEADER = struct.Struct("<4sHIIIQII")
 _MIXED_STREAM_KEY = 2**32
 _POS_INF_KEY = 2**32 + 1
 _NEG_INF_KEY = 2**32 + 2
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for
+# seeding per-sample streams without building a SeedSequence per row.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 # Steering entries per synthesis block.  A block holds
 # _SYNTH_BLOCK // (N * K) rows (16 desk rows, 4 paper rows), so its
@@ -96,13 +106,102 @@ class Dataset:
         return self.features.shape[0]
 
 
+def _seed_words(value, name: str) -> list[int]:
+    """The 32-bit little-endian words of a non-negative integer, as
+    ``np.random.SeedSequence`` splits its entropy (0 is one word)."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash32(value, const: int, mult: int):
+    """numpy's SeedSequence hash step with the constant ``const * mult``.
+
+    ``value`` is an int below 2**32 or a uint32 array; every product is
+    masked, so an int stays below 2**32 and meets arrays as a uint32."""
+    value = ((value ^ const) * (const * mult & _MASK32)) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _stream_states(master_seed: int, snr_key: int, index) -> np.ndarray:
+    """The PCG64 seed words of the streams ``(master_seed, snr_key, index)``.
+
+    That is ``np.random.SeedSequence((master_seed, snr_key, i))
+    .generate_state(4, np.uint64)``, computed by numpy's documented
+    SeedSequence algorithm (a pool of 4 uint32 words, ``hashmix`` and
+    ``mix``): for one int index below 2**32 the result has shape (4,), and
+    for a uint32 index array it has shape (*index.shape, 4), all rows in one
+    vectorized pass.  The entropy words are those of the seed, then of the
+    key, then the index.
+    """
+    entropy = _seed_words(master_seed, "master_seed") + _seed_words(snr_key, "snr_key")
+    entropy.append(index)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = _hash32(value, const, _MULT_A)
+        const = const * _MULT_A & _MASK32
+        return value
+
+    def mix(x, y):
+        result = (x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state: 8 uint32 words cycling over the pool, paired into
+    # little-endian uint64 words.
+    halves, const = [], _INIT_B
+    for i in range(8):
+        halves.append(np.asarray(_hash32(pool[i % _POOL_SIZE], const, _MULT_B), np.uint64))
+        const = const * _MULT_B & _MASK32
+    return np.stack([lo | (hi << 32) for lo, hi in zip(halves[::2], halves[1::2])], axis=-1)
+
+
+class _StreamSeed(ISeedSequence):
+    """Hands PCG64 seed words computed ahead by :func:`_stream_states`, in
+    place of the SeedSequence that would compute the same words."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.state.size or np.dtype(dtype) != self.state.dtype:
+            raise ValueError(f"holds {self.state.size} {self.state.dtype} words only")
+        return self.state
+
+
+def _stream(state: np.ndarray) -> np.random.Generator:
+    """The PCG64 stream seeded with one row of :func:`_stream_states`."""
+    return np.random.Generator(np.random.PCG64(_StreamSeed(state)))
+
+
 def sample_stream(master_seed: int, snr_key: int, index: int) -> np.random.Generator:
     """Counter-derived per-sample stream.
 
     Keyed on (master seed, SNR tag, sample index) so generation order and
-    worker count cannot change the output.
+    worker count cannot change the output.  It is, by definition, the
+    stream of ``np.random.default_rng((master_seed, snr_key, index))``:
+    the same PCG64 state, seeded through :func:`_stream_states` as
+    :func:`draw_samples` seeds its rows.  A negative seed or key raises
+    ``ValueError``, and so does an index outside [0, 2**32).
     """
-    return np.random.default_rng((master_seed, snr_key, index))
+    index = operator.index(index)
+    if not 0 <= index < 2**32:
+        raise ValueError(f"sample index must lie in [0, 2**32), got {index}")
+    return _stream(_stream_states(master_seed, snr_key, index))
 
 
 def snr_stream_key(snr_db) -> int:
@@ -119,25 +218,32 @@ def snr_stream_key(snr_db) -> int:
     return int(round(value * 1000.0)) & 0xFFFFFFFF
 
 
-def draw_samples(cfg: ExperimentConfig, snr_db, master_seed: int, n: int):
+def draw_samples(
+    cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
+):
     """Yield ``n`` rows as blocks ``(lo, h, y)`` in row order: channels
     ``h`` (rows, num_ports) and their complex slot-major pilot samples
-    ``y`` (rows, P*M), row 0 of the block being sample ``lo``.
+    ``y`` (rows, P*M) under ``schedule`` (the caller builds it once, with
+    ``cfg.build_schedule()``), row 0 of the block being sample ``lo``.
 
-    Sample i is drawn from its own stream (master_seed, SNR key, i); a
-    block's channels and noise are then synthesized together, byte for byte
-    as :func:`draw_channel` then :func:`observe` on that stream would give
-    them.  ``snr_db`` is a single SNR in dB, or a sequence of SNRs for the
-    mixed mode, where each sample draws its SNR uniformly from the list
-    (that choice comes first in the per-sample stream, then the channel,
-    then the noise; a noise variance of 0 draws no noise).
+    Sample i is drawn from its own stream (master_seed, SNR key, i), the
+    :func:`sample_stream` stream, whose seed words are computed for all
+    ``n`` rows in one pass; a block's channels and noise are then
+    synthesized together, byte for byte as :func:`draw_channel` then
+    :func:`observe` on that stream would give them.  ``snr_db`` is a single
+    SNR in dB, or a sequence of SNRs for the mixed mode, where each sample
+    draws its SNR uniformly from the list (that choice comes first in the
+    per-sample stream, then the channel, then the noise; a noise variance of
+    0 draws no noise).
     """
+    if n > 2**32:
+        raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
     geometry = cfg.geometry()
     scattering = cfg.scattering()
-    flat = cfg.build_schedule().flat_indices()
+    flat = schedule.flat_indices()
     mixed = isinstance(snr_db, (list, tuple))
     variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
-    key = snr_stream_key(snr_db)
+    states = _stream_states(master_seed, snr_stream_key(snr_db), np.arange(n, dtype=np.uint32))
     rows = max(1, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
     rays = RayDraws.empty(scattering, (rows,))
     # Zeroed so that the rows of a noiseless sample hold finite values.
@@ -146,9 +252,9 @@ def draw_samples(cfg: ExperimentConfig, snr_db, master_seed: int, n: int):
     for lo in range(0, n, rows):
         count = min(rows, n - lo)
         for j in range(count):
-            rng = sample_stream(master_seed, key, lo + j)
+            rng = _stream(states[lo + j])
             sigma2[j] = variances[rng.integers(len(variances))] if mixed else variances[0]
-            rays.draw(scattering, rng, j)
+            rays.draw(rng, j)
             if sigma2[j] > 0:
                 rng.standard_normal(out=normals[j])
         block = rays.head(count)
@@ -175,7 +281,8 @@ def generate_dataset(
     features = np.empty((n_samples, 2 * pm), dtype=np.float32)
     targets = np.empty((n_samples, 2 * n_ports), dtype=np.float32)
     # The pack_complex layout, written in place: no per-block temporaries.
-    for lo, h, y in draw_samples(cfg, snr_db, master_seed, n_samples):
+    samples = draw_samples(cfg, cfg.build_schedule(), snr_db, master_seed, n_samples)
+    for lo, h, y in samples:
         hi = lo + len(h)
         features[lo:hi, :pm] = y.real
         features[lo:hi, pm:] = y.imag

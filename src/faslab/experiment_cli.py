@@ -201,7 +201,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
             model_cache[mfile] = load_model(mfile)
         params, normalizers = model_cache[mfile]
         # A fresh test set, from the test seed's own stream family.
-        _, blocks_h, blocks_y = zip(*draw_samples(cfg, snr, cfg.seeds.test, cfg.n_test_samples))
+        test_set = draw_samples(cfg, schedule, snr, cfg.seeds.test, cfg.n_test_samples)
+        _, blocks_h, blocks_y = zip(*test_set)
         channels, pilots = np.concatenate(blocks_h), np.concatenate(blocks_y)
 
         estimates = {

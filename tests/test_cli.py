@@ -1,6 +1,7 @@
 """Tests for the configuration surface and the command-line harness."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ class TestPipelineCommands:
         assert len(out.read_text().strip().splitlines()) == 4
         # The dataset is built by the generate command's own code.
         assert f"wrote {tmp_path / 'datasets' / 'snr+5.0dB.fasd'} (" in capsys.readouterr().out
+
+    def test_noiseless_sweep_writes_minus_inf_without_a_warning(self, tmp_path):
+        # 10^-400 underflows: sigma2 = 0, and LS on the full-coverage desk
+        # schedule reconstructs every channel exactly (NMSE 0).
+        cfg = desk_profile()
+        overrides = dict(
+            snr_db_list=[4000.0], n_train_samples=200, max_epochs=1, n_test_samples=20,
+            dataset_dir=str(tmp_path / "datasets"), model_dir=str(tmp_path / "models"),
+            results_dir=str(tmp_path / "results"),
+        )
+        for key, value in overrides.items():
+            setattr(cfg, key, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cmd_sweep(cfg, build_missing=True)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert ["4000", "ls_observed", "-inf", "20"] in rows
 
     def test_mixed_snr_mode_shares_one_model(self, tmp_path):
         cfg = micro_config(tmp_path, mixed_snr=True)

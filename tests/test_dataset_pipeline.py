@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from faslab import dataset_pipeline
 from faslab.config import ExperimentConfig, dataset_fingerprint, desk_profile
@@ -82,14 +84,14 @@ class TestPacking:
 
 def per_sample(cfg, snr_db, seed, n):
     """The reference for draw_samples: draw_channel then observe on each
-    sample's own stream, one sample at a time."""
+    sample's own default_rng((seed, key, i)) stream, one sample at a time."""
     mixed = isinstance(snr_db, list)
     variances = [noise_variance_for_snr(s) for s in (snr_db if mixed else [snr_db])]
     key = dataset_pipeline.snr_stream_key(snr_db)
     schedule = cfg.build_schedule()
     channels, pilots = [], []
     for i in range(n):
-        rng = dataset_pipeline.sample_stream(seed, key, i)
+        rng = np.random.default_rng((seed, key, i))
         sigma2 = variances[rng.integers(len(variances))] if mixed else variances[0]
         h = draw_channel(cfg.scattering(), cfg.geometry(), rng)
         channels.append(h)
@@ -102,7 +104,7 @@ class TestDrawSamples:
 
     @staticmethod
     def blocks(cfg, snr_db, seed, n):
-        blocks = list(dataset_pipeline.draw_samples(cfg, snr_db, seed, n))
+        blocks = list(dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), snr_db, seed, n))
         starts = [lo for lo, _, _ in blocks]
         sizes = [len(h) for _, h, _ in blocks]
         assert starts == list(np.cumsum([0] + sizes[:-1]))
@@ -144,6 +146,73 @@ class TestDrawSamples:
 
     def test_one_row(self):
         self.assert_matches_per_sample(micro_config(), 5.0, 1)
+
+    def test_zero_angle_spread(self):
+        # Every offset is -0.0 + 0.0 * u, as rng.uniform(-0.0, 0.0) gives.
+        cfg = desk_profile()
+        cfg.max_angle_spread_deg = 0.0
+        self.assert_matches_per_sample(cfg, 0.0, 20)
+
+    def test_index_beyond_uint32_rejected(self):
+        cfg = micro_config()
+        samples = dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, 2**32 + 1)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            next(samples)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+EDGE_KEYS = [
+    0,
+    2**32 - 1,
+    dataset_pipeline._MIXED_STREAM_KEY,
+    dataset_pipeline._POS_INF_KEY,
+    dataset_pipeline._NEG_INF_KEY,
+]
+EDGE_INDICES = [0, 1, 2**32 - 1]
+
+
+class TestSampleStream:
+    """sample_stream and draw_samples' per-row seeding are default_rng's
+    streams, without building a SeedSequence per row."""
+
+    @staticmethod
+    def assert_default_rng_stream(seed, key, index):
+        want = np.random.default_rng((seed, key, index))
+        got = dataset_pipeline.sample_stream(seed, key, index)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    @pytest.mark.parametrize("index", EDGE_INDICES)
+    def test_edge_values(self, seed, key, index):
+        self.assert_default_rng_stream(seed, key, index)
+
+    @given(
+        st.integers(0, 2**96),
+        st.integers(0, 2**33),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_triples(self, seed, key, index):
+        self.assert_default_rng_stream(seed, key, index)
+
+    @given(
+        st.integers(0, 2**64),
+        st.integers(0, 2**33),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20),
+    )
+    def test_vectorized_rows(self, seed, key, indices):
+        states = dataset_pipeline._stream_states(seed, key, np.array(indices, dtype=np.uint32))
+        assert states.shape == (len(indices), 4) and states.dtype == np.uint64
+        for index, state in zip(indices, states):
+            want = np.random.SeedSequence((seed, key, index)).generate_state(4, np.uint64)
+            assert state.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "seed, key, index", [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 2**32)]
+    )
+    def test_out_of_range_rejected(self, seed, key, index):
+        with pytest.raises(ValueError):
+            dataset_pipeline.sample_stream(seed, key, index)
 
 
 class TestGenerateDataset:

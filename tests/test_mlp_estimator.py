@@ -1,6 +1,7 @@
 """Tests for the from-scratch MLP: forward/backward, Adam, training, metrics."""
 
 import hashlib
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -477,6 +478,14 @@ class TestMetrics:
         assert ensemble_nmse(np.zeros(3), h) == 1.0
         assert ensemble_nmse(2 * h, h) == pytest.approx(1.0)
         assert nmse_db(1.0) == 0.0
+
+    def test_nmse_db_of_zero_is_minus_inf_and_bad_values_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nmse_db(0.0) == -np.inf
+        for bad in (-1e-3, np.nan):
+            with pytest.raises(ValueError, match=str(bad)):
+                nmse_db(bad)
 
     def test_scale_diagnostic(self):
         rng = np.random.default_rng(30)
