@@ -1,6 +1,6 @@
 """Golden artifact bytes: SHA-256 of every file the quick start writes.
 
-Two tiny fixed desk configs run generate -> train -> sweep; the digests of
+Three tiny fixed desk configs run generate -> train -> sweep; the digests of
 the FASD, FASM, convergence CSV and sweep CSV files were recorded once and
 must not move.  One fixed pilot CSV run through one of those models pins
 the eval-single CSV the same way.  A refactor or speed-up that changes one of them changed
@@ -45,11 +45,13 @@ def golden_config(tmp_path, **overrides):
     return replace(desk_profile(), **fields)
 
 
-# Sequential full coverage with one model per SNR, and a random schedule
-# that revisits ports (48 samples over 32 ports) with one mixed-SNR model.
+# Sequential full coverage with one model per SNR, a random schedule that
+# revisits ports (48 samples over 32 ports) with one mixed-SNR model, and the
+# sequential config with more validation rows (120) than the batch (32).
 CONFIGS = {
     "sequential": {},
     "random_mixed": {"schedule_kind": "random", "num_slots": 12, "mixed_snr": True},
+    "sequential_wide_val": {"rho": 0.4},
 }
 
 GOLDEN = {
@@ -67,6 +69,15 @@ GOLDEN = {
         "snr_mixed.fasm": "d333f2de635fadaf78f731e6d689b0b7e970e56ebc6489face31f2d6ce4d539f",
         "convergence_snr_mixed.csv": "b97e674bccbb40d3e1882ba241d2f49d9e12e1dc3ad7cf2f55c61887232d643a",
         "sweep.csv": "336ff9d805af2799e367bb7fd8abf1e176c0a2b17cf5b5907a6ed3f4f36c79e8",
+    },
+    "sequential_wide_val": {
+        "snr-10.0dB.fasd": "84cf07168f103d22b3b23c06802889d0836cbe20b3597a25aa935f5b2b17f0af",
+        "snr-10.0dB.fasm": "222bd1799d64fe0fa3b5d2a829e00546527742c93b3ec6a205d01d3997d2bb12",
+        "convergence_snr-10.0dB.csv": "feb2e87739dbfa01107f5338b67688bdac4db0c7f7ad2b6f25803daa007fa426",
+        "snr+10.0dB.fasd": "69b3d6ae61508c590206951794cd005afed2f77e504b4a3970c574c62a193159",
+        "snr+10.0dB.fasm": "5bb42b7d44711c0e644779fb27157c2590c8c8b4cb3204f89af9e8463d126190",
+        "convergence_snr+10.0dB.csv": "2169e904c9e6df1c7fb67183c311eb2f339d05a1e049a4f08b08110a14d485fc",
+        "sweep.csv": "9d9bd33a646fe1adcaa8efb40b15156f49384fef4c596a6e60bb9d6751012e5a",
     },
 }
 
