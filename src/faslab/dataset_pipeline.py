@@ -356,7 +356,7 @@ def fit_normalizer(train_matrix: np.ndarray) -> Normalizer:
 
 
 def _check_width(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrix, dtype=float)
+    m = np.asarray(matrix)
     if m.shape[-1] != nrm.width:
         raise ValueError(
             f"width mismatch: normalizer fitted on {nrm.width} dims, got {m.shape[-1]}"
@@ -364,12 +364,20 @@ def _check_width(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
     return m
 
 
-def apply_normalizer(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
-    return (_check_width(nrm, matrix) - nrm.mean) / nrm.scale()
+def apply_normalizer(nrm: Normalizer, matrix: np.ndarray, out=None) -> np.ndarray:
+    """(matrix - mean) / scale in float64 (a float32 matrix is widened
+    exactly), written into ``out`` when it is given (it may be ``matrix``
+    itself) and into a new array otherwise."""
+    out = np.subtract(_check_width(nrm, matrix), nrm.mean, out=out, dtype=float)
+    out /= nrm.scale()
+    return out
 
 
-def invert_normalizer(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
-    return _check_width(nrm, matrix) * nrm.scale() + nrm.mean
+def invert_normalizer(nrm: Normalizer, matrix: np.ndarray, out=None) -> np.ndarray:
+    """matrix * scale + mean; float64 and ``out`` as in :func:`apply_normalizer`."""
+    out = np.multiply(_check_width(nrm, matrix), nrm.scale(), out=out, dtype=float)
+    out += nrm.mean
+    return out
 
 
 def read_file_aligned(path, data_offset: int) -> memoryview:

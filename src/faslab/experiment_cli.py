@@ -139,6 +139,9 @@ def cmd_train(
     init_rng = np.random.default_rng((cfg.seeds.init, tag))
 
     train_ds, val_ds = split(ds, cfg.rho, split_rng)
+    # split copies the rows, so dropping the loaded file's buffer here frees
+    # it before training.
+    del ds
     hyper = Hyperparams(
         hidden_width=cfg.hidden_width,
         learning_rate=cfg.learning_rate,

@@ -133,7 +133,7 @@ def init_params(d_in: int, hidden: int, d_out: int, rng: np.random.Generator) ->
 class ForwardCache:
     """Activations of the last forward pass through it, kept for backward.
 
-    ``x``, ``z1``, ``a1``, ``z2``, ``a2`` and the output are leading-row views
+    ``x`` is the input; ``a1``, ``a2`` and the output are leading-row views
     of buffers sized for the largest batch so far, so handing the cache back
     to :func:`forward` reuses them: the next pass through the same cache
     overwrites the previous one's output.  :func:`backward` keeps its scratch
@@ -141,7 +141,7 @@ class ForwardCache:
     """
 
     def __init__(self):
-        self.x = self.z1 = self.a1 = self.z2 = self.a2 = None
+        self.x = self.a1 = self.a2 = None
         self.single = False
         self.params = None
         self._buffers: dict[str, np.ndarray] = {}
@@ -160,7 +160,8 @@ def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None)
     Accepts a single input vector (D_in,) or a batch (B, D_in); the output
     matches the input's batch shape.  Returns (y, cache).  Passing the cache
     of an earlier call reuses its buffers, and the returned y is then
-    overwritten by the next pass through that cache.
+    overwritten by the next pass through that cache.  Each ReLU overwrites
+    its pre-activation, so the cache holds no pre-activations.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -171,17 +172,17 @@ def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None)
     if cache is None:
         cache = ForwardCache()
     rows = xb.shape[0]
-    z1, a1, z2, a2 = (cache._rows(name, rows, hidden) for name in ("z1", "a1", "z2", "a2"))
+    a1, a2 = cache._rows("a1", rows, hidden), cache._rows("a2", rows, hidden)
     y = cache._rows("y", rows, d_out)
-    np.matmul(xb, params.w1.T, out=z1)
-    z1 += params.b1
-    np.maximum(z1, 0.0, out=a1)
-    np.matmul(a1, params.w2.T, out=z2)
-    z2 += params.b2
-    np.maximum(z2, 0.0, out=a2)
+    np.matmul(xb, params.w1.T, out=a1)
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, params.w2.T, out=a2)
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
     np.matmul(a2, params.w3.T, out=y)
     y += params.b3
-    cache.x, cache.z1, cache.a1, cache.z2, cache.a2 = xb, z1, a1, z2, a2
+    cache.x, cache.a1, cache.a2 = xb, a1, a2
     cache.single, cache.params = single, params
     return (y[0] if single else y), cache
 
@@ -214,6 +215,8 @@ def backward(
 
     ``d_out`` is the loss gradient at the output, matching the forward's
     output shape.  The ReLU subgradient at exactly zero is taken as zero.
+    The mask is ``relu(z) > 0``, which is ``z > 0`` for every z (NaN, -0 and
+    -inf included), so the pre-activations need not be kept.
     The gradients are written into ``out`` when it is given (a net of the
     same dims, reused across steps) and returned.
     """
@@ -237,11 +240,11 @@ def backward(
     np.sum(dy, axis=0, out=out.b3)
     np.matmul(dy, params.w3, out=dz2)
     # Multiply by the mask rather than zero through it: inf * 0 must stay NaN.
-    np.multiply(dz2, np.greater(cache.z2, 0, out=mask), out=dz2)
+    np.multiply(dz2, np.greater(cache.a2, 0, out=mask), out=dz2)
     np.matmul(dz2.T, cache.a1, out=out.w2)
     np.sum(dz2, axis=0, out=out.b2)
     np.matmul(dz2, params.w2, out=dz1)
-    np.multiply(dz1, np.greater(cache.z1, 0, out=mask), out=dz1)
+    np.multiply(dz1, np.greater(cache.a1, 0, out=mask), out=dz1)
     np.matmul(dz1.T, cache.x, out=out.w1)
     np.sum(dz1, axis=0, out=out.b1)
     return out
@@ -266,13 +269,10 @@ class AdamState:
     beta2: float = 0.999
     eps_hat: float = 1e-8
     # adam_step's scratch, so that an update allocates nothing.
-    _finite: np.ndarray = field(init=False, repr=False, compare=False)
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        size = self.first_moment.flat.size
-        self._finite = np.empty(size, dtype=bool)
-        self._scratch = np.empty((2, min(size, _ADAM_BLOCK)))
+        self._scratch = np.empty((2, min(self.first_moment.flat.size, _ADAM_BLOCK)))
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float, *constants) -> "AdamState":
@@ -287,23 +287,29 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     array is allocated.  Each element sees the same operations in the same
     order as the whole-array form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-identical.
+    Every gradient is checked before anything is updated: a non-finite one
+    raises ``ValueError`` naming its field and leaves the state untouched.
     """
     moments = (state.first_moment, state.second_moment)
     if not params.dims() == grads.dims() == moments[0].dims() == moments[1].dims():
         raise ValueError("parameters, gradients and moments differ in dims")
-    if not np.isfinite(grads.flat, out=state._finite).all():
-        for name in _PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(grads, name))):
-                raise ValueError(f"non-finite gradient in {name}")
+    theta, grad = params.flat, grads.flat
+    blocks = [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, theta.size, _ADAM_BLOCK)]
+    # The finiteness flags of a block go into the scratch's bytes, viewed as bools.
+    finite = state._scratch[0].view(bool)
+    for block in blocks:
+        g = grad[block]
+        if not np.isfinite(g, out=finite[: g.size]).all():
+            for name in _PARAM_FIELDS:
+                if not np.all(np.isfinite(getattr(grads, name))):
+                    raise ValueError(f"non-finite gradient in {name}")
     state.step_count += 1
     t = state.step_count
     beta1, beta2 = state.beta1, state.beta2
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    theta, grad = params.flat, grads.flat
     first, second = (moment.flat for moment in moments)
-    for lo in range(0, theta.size, _ADAM_BLOCK):
-        block = slice(lo, lo + _ADAM_BLOCK)
+    for block in blocks:
         g, m, v, p = grad[block], first[block], second[block], theta[block]
         a, b = state._scratch[:, : g.size]
         m *= beta1
@@ -442,7 +448,9 @@ def train(
 
     Normalizers are fitted on the training rows only.  Each epoch reshuffles
     the training rows (the last partial batch is kept); after every epoch the
-    validation NMSE is computed on de-normalized channel vectors.  Training
+    validation NMSE is computed on de-normalized channel vectors.  The
+    training rows stay in the dataset's float32 matrices: each mini-batch is
+    gathered from them and normalized into a float64 batch buffer.  Training
     stops once the epochs since the best validation NMSE exceed
     ``hyper.patience``, and the parameters from that best epoch are returned.
 
@@ -465,13 +473,11 @@ def train(
     tgt_nrm = fit_normalizer(train_ds.targets)
     normalizers = Normalizers(feat_nrm, tgt_nrm)
 
-    x_train = apply_normalizer(feat_nrm, train_ds.features)
-    t_train = apply_normalizer(tgt_nrm, train_ds.targets)
     x_val = apply_normalizer(feat_nrm, val_ds.features)
     h_val = _rows_to_complex(val_ds.targets)
 
-    d_in = x_train.shape[1]
-    d_out = t_train.shape[1]
+    d_in = feat_nrm.width
+    d_out = tgt_nrm.width
     params = init_params(d_in, hyper.hidden_width, d_out, rng)
     state = AdamState.for_params(params, hyper.learning_rate)
 
@@ -479,14 +485,17 @@ def train(
     best_nmse = np.inf
     best_params = params.copy()
     n = train_ds.n_samples
-    # Buffers reused by every step and epoch: the batch, the loss gradient,
-    # the parameter gradients and the activations (in the forward caches).
+    # Buffers reused by every step and epoch: the gathered float32 rows, the
+    # normalized batch, the loss gradient, the parameter gradients and the
+    # activations (in the forward cache, which the validation pass shares).
     batch = min(hyper.batch_size, n)
+    x_rows = np.empty((batch, d_in), dtype=train_ds.features.dtype)
+    t_rows = np.empty((batch, d_out), dtype=train_ds.targets.dtype)
     x_batch = np.empty((batch, d_in))
     t_batch = np.empty((batch, d_out))
     d_batch = np.empty((batch, d_out))
     grads = params.zeros_like()
-    cache = val_cache = None
+    cache = None
 
     for epoch in range(1, hyper.max_epochs + 1):
         perm = shuffle_rng.permutation(n)
@@ -494,12 +503,16 @@ def train(
         entry_count = 0
         for start in range(0, n, hyper.batch_size):
             idx = perm[start : start + hyper.batch_size]
+            rows = idx.size
             # The indices are in range; mode="clip" lets take write `out`
-            # directly instead of through a temporary.
-            xb = np.take(x_train, idx, axis=0, out=x_batch[: idx.size], mode="clip")
-            tb = np.take(t_train, idx, axis=0, out=t_batch[: idx.size], mode="clip")
+            # directly instead of through a temporary.  take does not cast,
+            # so the rows land in float32 buffers first.
+            xb = np.take(train_ds.features, idx, axis=0, out=x_rows[:rows], mode="clip")
+            tb = np.take(train_ds.targets, idx, axis=0, out=t_rows[:rows], mode="clip")
+            xb = apply_normalizer(feat_nrm, xb, out=x_batch[:rows])
+            tb = apply_normalizer(tgt_nrm, tb, out=t_batch[:rows])
             pred, cache = forward(params, xb, cache)
-            loss, dloss = mse_loss(pred, tb, out=d_batch[: idx.size])
+            loss, dloss = mse_loss(pred, tb, out=d_batch[:rows])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             backward(params, cache, dloss, out=grads)
@@ -508,8 +521,10 @@ def train(
             entry_count += pred.size
         report.train_loss.append(sq_err_sum / entry_count)
 
-        val_pred, val_cache = forward(params, x_val, val_cache)
-        h_hat = _rows_to_complex(invert_normalizer(tgt_nrm, val_pred))
+        # Through the step cache, which grows once if the validation rows
+        # outnumber the batch; the output is de-normalized in place.
+        val_pred, cache = forward(params, x_val, cache)
+        h_hat = _rows_to_complex(invert_normalizer(tgt_nrm, val_pred, out=val_pred))
         val_nmse = ensemble_nmse(h_hat, h_val)
         report.val_nmse.append(val_nmse)
         report.val_nmse_db.append(nmse_db(val_nmse))
@@ -535,9 +550,9 @@ def predict_batch(
     Pipeline: pack -> feature-normalize with training statistics -> forward
     -> de-normalize with target statistics -> unpack.
     """
-    x = apply_normalizer(normalizers.features, pack_complex(pilot_matrix))
-    y, _ = forward(params, x)
-    return _rows_to_complex(invert_normalizer(normalizers.targets, y))
+    x = pack_complex(pilot_matrix)
+    y, _ = forward(params, apply_normalizer(normalizers.features, x, out=x))
+    return _rows_to_complex(invert_normalizer(normalizers.targets, y, out=y))
 
 
 def predict(

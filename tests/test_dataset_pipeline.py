@@ -348,6 +348,25 @@ class TestNormalizer:
         z_train = apply_normalizer(nrm, train)
         assert np.allclose(z - z_train, 10.0 / nrm.scale(), atol=1e-9)
 
+    def test_out_buffers_are_bit_equal_to_the_float64_formulas(self):
+        # A float32 matrix normalized into a float64 buffer, and a float64
+        # matrix transformed in place, give the bits of the whole-array
+        # float64 forms.
+        rng = np.random.default_rng(8)
+        rows = (rng.standard_normal((40, 6)) * 5 + 2).astype(np.float32)
+        nrm = fit_normalizer(rows)
+        nrm.std[2] = 0.0  # the epsilon guard
+        wide = rows.astype(float)
+        expected = (wide - nrm.mean) / np.maximum(nrm.std, nrm.epsilon)
+        out = np.empty((40, 6))
+        assert apply_normalizer(nrm, rows, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert apply_normalizer(nrm, rows).tobytes() == expected.tobytes()
+        expected_back = expected * np.maximum(nrm.std, nrm.epsilon) + nrm.mean
+        assert invert_normalizer(nrm, expected).tobytes() == expected_back.tobytes()
+        assert invert_normalizer(nrm, out, out=out) is out
+        assert out.tobytes() == expected_back.tobytes()
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="2 rows"):
             fit_normalizer(np.ones((1, 4)))

@@ -1,12 +1,14 @@
 """Tests for the from-scratch MLP: forward/backward, Adam, training, metrics."""
 
 import hashlib
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from faslab import mlp_estimator
 from faslab.dataset_pipeline import Dataset, Normalizer, fit_normalizer
 from faslab.errors import ChecksumError, FileFormatError, TrainingDivergedError
 from faslab.mlp_estimator import (
@@ -603,6 +605,34 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError) as err:
                 train(train_ds, val_ds, hyper, np.random.default_rng(16))
         assert err.value.epoch >= 1
+
+    def test_epochs_hold_no_float64_copy_of_the_training_rows(self, monkeypatch):
+        # 20 000 rows of width 32 + 32: a float64 copy takes 10.24 MB, while
+        # the net (hidden width 8), its Adam state and the batch buffers take
+        # well under 0.1 MB.  The heap train() holds at its first forward
+        # call must stay below that copy.
+        train_ds = toy_dataset(20_000, width_in=32, width_out=32, seed=61)
+        val_ds = toy_dataset(50, width_in=32, width_out=32, seed=62)
+        hyper = toy_hyper(hidden_width=8, batch_size=64, max_epochs=1)
+        float64_rows = 8 * train_ds.n_samples * (32 + 32)
+        held = []
+
+        def sampled_forward(*args, **kwargs):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(mlp_estimator, "forward", sampled_forward)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(train_ds, val_ds, hyper, np.random.default_rng(63))
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] - base < float64_rows, (
+            f"train() held {held[0] - base} bytes at its first step; a float64 "
+            f"copy of the training rows is {float64_rows}"
+        )
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths"):
