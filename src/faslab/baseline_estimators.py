@@ -7,7 +7,7 @@ per-port least-squares/shrinkage reconstruction on the observed ports.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,12 +28,40 @@ class AngularDictionary:
 
     ``full_atoms`` holds unit-norm length-N steering columns; ``atoms`` is
     the same dictionary seen through the switch schedule (rows ordered
-    slot-major like observations).
+    slot-major like observations).  Atoms 0..K//2 are the head; every later
+    atom k must be the complex conjugate of head atom K - k, as
+    :func:`build_dictionary` makes it (a ValueError otherwise).  Derived
+    once: ``atom_norms``, the observed atoms' norms, and ``head_block``, the
+    observed head atoms as a contiguous real (m, 2 * head) matrix, each
+    atom's real and imaginary parts in adjacent columns.
     """
 
     grid_angles: np.ndarray
     atoms: np.ndarray
     full_atoms: np.ndarray
+    atom_norms: np.ndarray = field(init=False, repr=False)
+    head_block: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_atoms = self.atoms.shape[1]
+        head, partners = _head_size(n_atoms), _mirror_partners(n_atoms)
+        if not np.array_equal(self.atoms[:, head:], self.atoms[:, partners].conj()):
+            raise ValueError(
+                f"atoms {head}..{n_atoms - 1} must be the conjugates of atoms "
+                f"{n_atoms - head}..1 (atom k mirrors atom {n_atoms} - k)"
+            )
+        self.atom_norms = _row_norm(self.atoms.T)
+        self.head_block = np.ascontiguousarray(self.atoms[:, :head]).view(float)
+
+
+def _head_size(n_atoms: int) -> int:
+    return n_atoms // 2 + 1
+
+
+def _mirror_partners(n_atoms: int) -> slice:
+    """The head atoms K - k of the atoms k = K//2 + 1 .. K - 1, in that
+    order: head atoms K - K//2 - 1 down to 1."""
+    return slice(n_atoms - _head_size(n_atoms), 0, -1)
 
 
 def build_dictionary(
@@ -42,7 +70,11 @@ def build_dictionary(
     """Grid uniform in cos(theta) over [-1, 1) with ``num_atoms`` points.
 
     Steering vectors are Fourier-like in cos(theta), so this grid keeps
-    mutual coherence uniform across atoms.
+    mutual coherence uniform across atoms.  The grid is exactly
+    antisymmetric, cos_grid[K - k] = -cos_grid[k] (for a power-of-two K the
+    formula -1 + 2k/K already is; otherwise a mirrored point may move by one
+    ulp), so atom K - k is the conjugate of atom k: only the head atoms
+    0..K//2 are evaluated.
     """
     if num_atoms < 1:
         raise ValueError(f"num_atoms must be >= 1, got {num_atoms}")
@@ -51,11 +83,21 @@ def build_dictionary(
             f"schedule covers {sched.num_ports} ports, geometry has "
             f"{geometry.num_ports}"
         )
+    head, partners = _head_size(num_atoms), _mirror_partners(num_atoms)
     cos_grid = -1.0 + 2.0 * np.arange(num_atoms) / num_atoms
+    cos_grid[head:] = -cos_grid[partners]
     angles = np.arccos(cos_grid)
-    full_atoms = steering_matrix(geometry, cos_grid)
-    atoms = full_atoms[sched.flat_indices(), :]
-    return AngularDictionary(angles, atoms, full_atoms)
+    # Stored atom by atom, so that gathering atoms (OMP's new columns and
+    # its estimate) reads contiguous rows; the fields are transposed views.
+    by_atom = np.empty((num_atoms, geometry.num_ports), dtype=complex)
+    by_atom[:head] = steering_matrix(geometry, cos_grid[:head]).T
+    mirrored = by_atom[head:]
+    mirrored.real = by_atom.real[partners]
+    # 0 - x rather than -x: port 0's imaginary part is +0.0 in every atom
+    # steering_matrix gives, and stays +0.0 here.
+    np.subtract(0.0, by_atom.imag[partners], out=mirrored.imag)
+    atoms = by_atom[:, sched.flat_indices()].T
+    return AngularDictionary(angles, atoms, by_atom.T)
 
 
 @dataclass
@@ -81,13 +123,37 @@ def _as_rows(obs, width: int, what: str) -> tuple[np.ndarray, bool]:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row conj(a) . b over the last axis; each row's value does not
-    depend on how many rows share the call."""
-    return (a.conj() * b).sum(axis=-1)
+    """Per-row conj(a) . b over the last axis, one BLAS dot product per row;
+    each row's value does not depend on how many rows share the call.
+
+    Computed as conj(conj(b) . a), so that only ``b`` (the smaller operand
+    where they differ) is copied; the bits are those of conj(a) . b."""
+    return np.matmul(b.conj()[..., None, :], a[..., :, None])[..., 0, 0].conj()
 
 
 def _row_norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt((a.real**2 + a.imag**2).sum(axis=-1))
+    return np.sqrt(_row_dot(a, a).real)
+
+
+def _correlations(dictionary: AngularDictionary, residual: np.ndarray) -> np.ndarray:
+    """|r^H a| for every row r of a complex (rows, m) residual matrix and
+    every atom a, from one real GEMM over the head atoms.
+
+    ``[Re r; Im r] @ head_block`` is the complex pair P = Re(r) A_H and
+    Q = Im(r) A_H over the head atoms A_H.  A head atom a gives
+    r^H a = P - jQ; a mirrored atom conj(a) gives r^H conj(a) = conj(P + jQ),
+    whose modulus is that of P + jQ.
+    """
+    rows, n_atoms = residual.shape[0], dictionary.atoms.shape[1]
+    head, partners = _head_size(n_atoms), _mirror_partners(n_atoms)
+    stacked = np.concatenate([residual.real, residual.imag])
+    pq = (stacked @ dictionary.head_block).view(complex)
+    p, jq = pq[:rows], pq[rows:]
+    jq *= 1j
+    corr = np.empty((rows, n_atoms), dtype=complex)
+    np.subtract(p, jq, out=corr[:, :head])
+    np.add(p[:, partners], jq[:, partners], out=corr[:, head:])
+    return np.abs(corr)
 
 
 def omp_estimate(
@@ -105,10 +171,11 @@ def omp_estimate(
     early once its residual is exactly zero or every atom has been tried.
 
     ``obs`` is one observation ``(m,)`` or a row matrix ``(rows, m)``; the
-    rows run the greedy loop together (Batch OMP: one correlation GEMM per
-    step for every unfinished row), each with its own support and QR
-    factors.  Returns the length-N estimate (``(rows, N)`` for a row
-    matrix), or (estimate, OmpTrace) with ``with_trace``.
+    rows run the greedy loop together (Batch OMP: one real correlation GEMM
+    per step for every unfinished row, see :func:`_correlations`), each
+    with its own support and QR factors.  Returns the length-N estimate
+    (``(rows, N)`` for a row matrix), or (estimate, OmpTrace) with
+    ``with_trace``.
     """
     m, n_atoms = dictionary.atoms.shape
     y, single = _as_rows(obs, m, "dictionary rows")
@@ -119,7 +186,7 @@ def omp_estimate(
         )
 
     rows = y.shape[0]
-    atom_norms = _row_norm(dictionary.atoms.T)
+    atom_norms = dictionary.atom_norms
     safe_norms = np.where(atom_norms > 0, atom_norms, 1.0)
     residual = y.copy()
     # Unused Q slots and R columns stay zero, so rows with different support
@@ -135,8 +202,8 @@ def omp_estimate(
     active = np.flatnonzero(count < sparsity)
 
     while active.size:
-        # |r^H a| per atom, with the conjugate on the small residual side.
-        corr = np.abs(residual[active].conj() @ dictionary.atoms) / safe_norms
+        corr = _correlations(dictionary, residual[active])
+        corr /= safe_norms
         corr[excluded[active]] = -1.0
         peak = corr.max(axis=1)
         best = np.argmax(corr >= (peak * (1.0 - TIE_TOL))[:, None], axis=1)
@@ -147,15 +214,16 @@ def omp_estimate(
         excluded[active, best] = True
 
         # Orthogonalize each new column against its row's basis (two
-        # Gram-Schmidt passes for numerical robustness); slots past the
-        # largest support among these rows are zero and skipped.
-        basis = q[active, : count[active].max(initial=0)]
-        w = np.ascontiguousarray(dictionary.atoms[:, best].T, dtype=complex)
+        # Gram-Schmidt passes for numerical robustness).  Every row uses all
+        # ``sparsity`` slots, so a row's products have the same shapes (and
+        # bits) whichever rows share the call.
+        basis = q[active]
+        w = dictionary.atoms.T[best]
         head = np.zeros((active.size, sparsity), dtype=complex)
         for _ in range(2):
             proj = _row_dot(basis, w[:, None, :])
-            head[:, : proj.shape[1]] += proj
-            w = w - (proj[:, :, None] * basis).sum(axis=1)
+            head += proj
+            w -= np.matmul(proj[:, None, :], basis)[:, 0]
         w_norm = _row_norm(w)
         dropped = w_norm <= RANK_TOL * atom_norms[best]
         for atom in best[dropped]:
@@ -172,8 +240,10 @@ def omp_estimate(
         r[grow, :, slot] = head
         support[grow, slot] = best
         count[grow] += 1
-        residual[grow] -= _row_dot(new_q, residual[grow])[:, None] * new_q
-        residual_norms[grow, count[grow]] = _row_norm(residual[grow])
+        deflated = residual[grow]
+        deflated -= _row_dot(new_q, deflated)[:, None] * new_q
+        residual[grow] = deflated
+        residual_norms[grow, count[grow]] = _row_norm(deflated)
         active = active[count[active] < sparsity]
 
     # Back-substitute R c = Q^H y; unused slots get identity rows of R and a
@@ -185,7 +255,7 @@ def omp_estimate(
     for j in reversed(range(sparsity)):
         tail = (r[:, j, j + 1:] * coeffs[:, j + 1:]).sum(axis=-1)
         coeffs[:, j] = (rhs[:, j] - tail) / r[:, j, j]
-    estimate = (dictionary.full_atoms.T[support] * coeffs[:, :, None]).sum(axis=1)
+    estimate = np.matmul(coeffs[:, None, :], dictionary.full_atoms.T[support])[:, 0]
     estimate[count == 0] = 0.0
 
     if not with_trace:

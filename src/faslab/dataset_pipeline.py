@@ -28,6 +28,10 @@ from .pilot_system import observe  # unused here; faslab_bench/spans.py traces i
 MAGIC = b"FASD"
 VERSION = 1
 STD_EPSILON = 1e-8  # guard for zero-variance feature dimensions
+# Columns per float64 block in fit_normalizer: 24 MB at 47 500 paper
+# training rows, where the widened feature matrix and std's centred copy of
+# it took 195 MB each.
+_FIT_COLUMNS = 64
 
 # magic, version, num_ports, num_antennas, num_slots, n_samples,
 # feature_width, target_width
@@ -346,13 +350,31 @@ class Normalizer:
 
 
 def fit_normalizer(train_matrix: np.ndarray) -> Normalizer:
-    """Per-dimension mean and population standard deviation of training rows."""
-    m = np.asarray(train_matrix, dtype=float)
+    """Per-dimension mean and population standard deviation of training rows.
+
+    Fitted in float64 over blocks of about ``_FIT_COLUMNS`` columns, so that
+    a float32 matrix is never widened whole.  The statistics are those of
+    the whole widened matrix, bit for bit: numpy sums a block of two or
+    more columns row by row, as it sums the whole matrix, so no block is
+    left one column wide (a single column would be summed pairwise).
+    """
+    m = np.asarray(train_matrix)
     if m.ndim != 2 or m.shape[0] < 2:
         raise ValueError(
             f"need a 2-D matrix with at least 2 rows, got shape {m.shape}"
         )
-    return Normalizer(m.mean(axis=0), m.std(axis=0, ddof=0))
+    width = m.shape[1]
+    mean, std = np.empty(width), np.empty(width)
+    lo = 0
+    while lo < width:
+        hi = lo + _FIT_COLUMNS
+        if width - hi < 2:
+            hi = width
+        block = np.asarray(m[:, lo:hi], dtype=float)
+        mean[lo:hi] = block.mean(axis=0)
+        std[lo:hi] = block.std(axis=0, ddof=0)
+        lo = hi
+    return Normalizer(mean, std)
 
 
 def _check_width(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
@@ -415,11 +437,29 @@ def write_artifact(path, chunks) -> None:
         raise
 
 
+def _check_widths(path, n_ports, n_ant, n_slots, feat_w, tgt_w) -> None:
+    """Raise FileFormatError naming ``path`` and the header field unless the
+    widths are those of the dimensions, as :func:`load_dataset` requires."""
+    for field, value, expected, rule in (
+        ("feature_width", feat_w, 2 * n_slots * n_ant, "2 * num_slots * num_antennas"),
+        ("target_width", tgt_w, 2 * n_ports, "2 * num_ports"),
+    ):
+        if value != expected:
+            raise FileFormatError(
+                f"{path}: header field {field} is {value}, but {rule} is {expected}"
+            )
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Bit-exact binary format: fixed header, fingerprint, payload checksum,
-    then features and targets as little-endian float32, row-major."""
+    then features and targets as little-endian float32, row-major.  Widths
+    that disagree with the dimensions raise FileFormatError (the file could
+    not be loaded) and nothing is written."""
     feat = np.ascontiguousarray(ds.features, dtype="<f4")
     tgt = np.ascontiguousarray(ds.targets, dtype="<f4")
+    _check_widths(
+        path, ds.num_ports, ds.num_antennas, ds.num_slots, feat.shape[1], tgt.shape[1]
+    )
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -439,9 +479,10 @@ def load_dataset(path, expected_fingerprint: bytes | None = None) -> Dataset:
     """Inverse of :func:`save_dataset` with integrity checks.
 
     A fingerprint differing from ``expected_fingerprint`` warns (the file is
-    still usable); corrupt or truncated payloads raise ChecksumError.  The
-    features and targets are writable views over one buffer holding the
-    file, not copies.
+    still usable); a header whose widths disagree with its dimensions raises
+    FileFormatError naming the field; corrupt or truncated payloads raise
+    ChecksumError.  The features and targets are writable views over one
+    buffer holding the file, not copies.
     """
     offset = _HEADER.size + 64
     raw = read_file_aligned(path, offset)
@@ -454,6 +495,9 @@ def load_dataset(path, expected_fingerprint: bytes | None = None) -> Dataset:
         raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FileFormatError(f"{path}: unsupported version {version}")
+    # The checksum covers only the payload: a header that moves columns
+    # between the two widths keeps the payload size and would load silently.
+    _check_widths(path, n_ports, n_ant, n_slots, feat_w, tgt_w)
     fingerprint = bytes(raw[_HEADER.size : _HEADER.size + 32])
     checksum = raw[_HEADER.size + 32 : offset]
     payload = raw[offset:]

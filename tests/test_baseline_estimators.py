@@ -7,11 +7,18 @@ import pytest
 
 from faslab.baseline_estimators import (
     RANK_TOL,
+    AngularDictionary,
+    _correlations,
     build_dictionary,
     ls_observed_estimate,
     omp_estimate,
 )
-from faslab.channel_model import ArrayGeometry, draw_channel, ScatteringConfig
+from faslab.channel_model import (
+    ArrayGeometry,
+    ScatteringConfig,
+    draw_channel,
+    steering_matrix,
+)
 from faslab.mlp_estimator import ensemble_nmse
 from faslab.pilot_system import (
     SwitchSchedule,
@@ -48,6 +55,39 @@ class TestBuildDictionary:
     def test_port_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="ports"):
             build_dictionary(ArrayGeometry(8, 2.0), full_coverage(16), 8)
+
+    @pytest.mark.parametrize(
+        "num_ports, aperture, num_atoms",
+        [(256, 10.0, 1024), (64, 10.0, 256), (32, 10.0, 128), (8, 7.0, 16), (4, 3.0, 2)],
+    )
+    def test_power_of_two_grid_gives_the_direct_formula_bytes(
+        self, num_ports, aperture, num_atoms
+    ):
+        # Every steering column evaluated on the grid -1 + 2k/K, as before
+        # the mirrored atoms were filled by conjugation.
+        geometry = ArrayGeometry(num_ports, aperture)
+        sched = random_schedule(num_ports, 2, num_ports // 2, np.random.default_rng(1))
+        d = build_dictionary(geometry, sched, num_atoms)
+        cos_grid = -1.0 + 2.0 * np.arange(num_atoms) / num_atoms
+        full = steering_matrix(geometry, cos_grid)
+        assert d.full_atoms.tobytes() == full.tobytes()
+        assert d.atoms.tobytes() == full[sched.flat_indices(), :].tobytes()
+        assert d.grid_angles.tobytes() == np.arccos(cos_grid).tobytes()
+
+    @pytest.mark.parametrize("num_atoms", [1, 2, 3, 96, 400, 1024])
+    def test_mirrored_atoms_are_exact_conjugates(self, num_atoms):
+        geometry = ArrayGeometry(64, 10.0)
+        d = build_dictionary(geometry, full_coverage(64, 4), num_atoms)
+        for k in range(1, num_atoms):
+            mirror = d.full_atoms[:, num_atoms - k]
+            assert np.array_equal(mirror, d.full_atoms[:, k].conj()), f"atom {k}"
+
+    def test_dictionary_without_conjugate_pairs_rejected(self):
+        d = build_dictionary(ArrayGeometry(16, 4.0), full_coverage(16), 8)
+        atoms = d.atoms.copy()
+        atoms[3, 6] *= 1.0 + 1e-15
+        with pytest.raises(ValueError, match="conjugates"):
+            AngularDictionary(d.grid_angles, atoms, d.full_atoms)
 
 
 def on_grid_channel(dictionary, index, gain):
@@ -197,6 +237,42 @@ def test_batch_omp_matches_loop_reference(kind):
         support, estimate = loop_omp(y, dictionary, 4)
         assert trace.support[i] == support, f"row {i}"
         assert np.linalg.norm(batch[i] - estimate) <= 1e-10 * np.linalg.norm(estimate)
+
+
+class TestCorrelations:
+    """One real GEMM over the head atoms gives every atom's |r^H a|."""
+
+    @pytest.mark.parametrize(
+        "num_ports, aperture, num_atoms, kind",
+        [
+            (64, 10.0, 256, "sequential"),
+            (256, 10.0, 1024, "random"),
+            (8, 7.0, 16, "random"),  # d/lambda = 1: aliased atoms
+            (16, 4.0, 3, "sequential"),
+            (16, 4.0, 97, "random"),
+            (32, 6.0, 400, "random"),
+        ],
+    )
+    def test_match_the_complex_product(self, num_ports, aperture, num_atoms, kind):
+        geometry = ArrayGeometry(num_ports, aperture)
+        rng = np.random.default_rng(num_atoms)
+        sched = (
+            sequential_schedule(num_ports, 2, num_ports // 2) if kind == "sequential"
+            else random_schedule(num_ports, 2, num_ports // 2 + 3, rng)
+        )
+        d = build_dictionary(geometry, sched, num_atoms)
+        shape = (40, sched.num_samples)
+        residual = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        residual[5] = residual[5].real
+        for rows in (40, 7, 1):
+            want = np.abs(residual[:rows].conj() @ d.atoms)
+            got = _correlations(d, residual[:rows])
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
+        # A real residual correlates equally with an atom and its mirror,
+        # bit for bit, so the tie rule (not rounding) picks between them.
+        got = _correlations(d, residual[5:6])[0]
+        assert np.array_equal(got[1:], got[:0:-1])
 
 
 class TestOmpBatch:

@@ -1,5 +1,8 @@
 """Tests for packing, dataset generation, normalization, and storage."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -367,6 +370,33 @@ class TestNormalizer:
         assert invert_normalizer(nrm, out, out=out) is out
         assert out.tobytes() == expected_back.tobytes()
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3, 1), (1001, 129), (777, 64), (999, 66), (300, 4161)]
+    )
+    def test_fit_is_bit_equal_to_the_whole_float64_matrix(self, shape):
+        # Widths with a one-column remainder past a 64-column block
+        # (129, 4161) as well as exact and other odd widths; float32 rows,
+        # float64 rows and column-major float64 rows.
+        rng = np.random.default_rng(shape[1])
+        scale = rng.random(shape[1]) * 5
+        rows = rng.standard_normal(shape) * scale + rng.standard_normal(shape[1])
+        for m in (rows.astype(np.float32), rows, np.asfortranarray(rows)):
+            wide = np.asarray(m, dtype=float)
+            nrm = fit_normalizer(m)
+            assert nrm.mean.tobytes() == wide.mean(axis=0).tobytes()
+            assert nrm.std.tobytes() == wide.std(axis=0, ddof=0).tobytes()
+
+    def test_fit_never_widens_the_whole_matrix(self):
+        rows = np.random.default_rng(9).standard_normal((20_000, 256)).astype(np.float32)
+        one_float64_copy = rows.size * 8
+        tracemalloc.start()
+        try:
+            fit_normalizer(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_float64_copy
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="2 rows"):
             fit_normalizer(np.ones((1, 4)))
@@ -433,6 +463,43 @@ class TestStorage:
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError, match="magic"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "moved, field", [((2, -2), "feature_width"), ((0, 2), "target_width")]
+    )
+    def test_header_widths_must_match_the_dimensions(self, tmp_path, moved, field):
+        # Two columns moved from the targets to the features keep the payload
+        # size, so only the header check can catch them.
+        path = tmp_path / "ds.fasd"
+        save_dataset(self.make_dataset(), path)
+        raw = bytearray(path.read_bytes())
+        header = struct.Struct("<4sHIIIQII")  # FASD: ..., feature_width, target_width
+        fields = list(header.unpack_from(raw))
+        fields[-2] += moved[0]
+        fields[-1] += moved[1]
+        header.pack_into(raw, 0, *fields)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match=f"ds.fasd: header field {field}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "moved, field", [((2, -2), "feature_width"), ((0, 2), "target_width")]
+    )
+    def test_save_refuses_widths_the_load_would_reject(self, tmp_path, moved, field):
+        ds = self.make_dataset()
+        n = ds.n_samples
+        bad = Dataset(
+            np.zeros((n, ds.features.shape[1] + moved[0])),
+            np.zeros((n, ds.targets.shape[1] + moved[1])),
+            ds.config_fingerprint,
+            ds.num_ports,
+            ds.num_antennas,
+            ds.num_slots,
+        )
+        path = tmp_path / "ds.fasd"
+        with pytest.raises(FileFormatError, match=f"ds.fasd: header field {field}"):
+            save_dataset(bad, path)
+        assert not path.exists()
 
     def test_fingerprint_mismatch_warns_not_errors(self, tmp_path):
         ds = self.make_dataset()
