@@ -178,8 +178,17 @@ class ExperimentConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        """Build a config from a (possibly partial) dict over ``base`` defaults."""
+    def from_dict(
+        cls, data: dict, base: "ExperimentConfig | None" = None, source: str = "config"
+    ) -> "ExperimentConfig":
+        """Build a config from a (possibly partial) dict over ``base`` defaults.
+
+        ``source`` names where ``data`` came from in the error raised when it
+        is not a JSON object."""
+        if not isinstance(data, dict):
+            raise ConfigError(
+                f"{source}: expected a JSON object, got {_json_type(data)}"
+            )
         cfg = replace(base) if base is not None else cls()
         cfg.seeds = replace(cfg.seeds)
         known = set(cfg.to_dict())
@@ -200,8 +209,17 @@ class ExperimentConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, text: str, base: "ExperimentConfig | None" = None) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text), base=base)
+    def from_json(
+        cls, text: str, base: "ExperimentConfig | None" = None, source: str = "config"
+    ) -> "ExperimentConfig":
+        return cls.from_dict(json.loads(text), base=base, source=source)
+
+
+def _json_type(value) -> str:
+    """The JSON name of the type ``json.loads`` gave ``value``."""
+    names = {list: "array", str: "string", bool: "boolean", int: "number",
+             float: "number", type(None): "null"}
+    return names.get(type(value), type(value).__name__)
 
 
 def _canonical(doc: dict) -> str:

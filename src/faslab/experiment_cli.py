@@ -284,7 +284,8 @@ def load_config(
     cfg = PROFILES[profile]()
     if config_path is not None:
         cfg = ExperimentConfig.from_json(
-            Path(config_path).read_text(encoding="utf-8"), base=cfg
+            Path(config_path).read_text(encoding="utf-8"), base=cfg,
+            source=str(config_path),
         )
     for name, value in (seed_overrides or {}).items():
         cfg.seeds.override(name, value)

@@ -150,8 +150,8 @@ def observe(
         raise ValueError(
             f"channel length {h.shape} does not match num_ports {sched.num_ports}"
         )
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+    if not 0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     samples = h[sched.flat_indices()].astype(complex)
     if sigma2 > 0:
         add_noise(samples, rng.standard_normal((2, samples.size)), sigma2)

@@ -1,14 +1,17 @@
 """Tests for the greedy sparse estimator and the observed-port shrinkage."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from faslab import baseline_estimators
 from faslab.baseline_estimators import (
     RANK_TOL,
     AngularDictionary,
     _correlations,
+    _row_norm,
     build_dictionary,
     ls_observed_estimate,
     omp_estimate,
@@ -81,6 +84,8 @@ class TestBuildDictionary:
         for k in range(1, num_atoms):
             mirror = d.full_atoms[:, num_atoms - k]
             assert np.array_equal(mirror, d.full_atoms[:, k].conj()), f"atom {k}"
+        # The mirrored atoms' norms are copied from their partners.
+        assert d.atom_norms.tobytes() == _row_norm(d.atoms.T).tobytes()
 
     def test_dictionary_without_conjugate_pairs_rejected(self):
         d = build_dictionary(ArrayGeometry(16, 4.0), full_coverage(16), 8)
@@ -172,6 +177,13 @@ class TestOmp:
         assert len(trace.support) == 1
         assert np.all(np.isfinite(est))
 
+    def test_drop_warning_names_the_caller(self):
+        sched = SwitchSchedule(np.array([[0], [1]]), 4)
+        dictionary = build_dictionary(ArrayGeometry(4, 3.0), sched, 2)
+        with pytest.warns(UserWarning, match="rank-deficient") as caught:
+            omp_estimate(np.array([1.0 + 0.2j, 0.3]), dictionary, 2)
+        assert caught[0].filename == __file__
+
     def test_sparsity_bounds_rejected(self):
         with pytest.raises(ValueError, match="sparsity"):
             omp_estimate(
@@ -181,6 +193,19 @@ class TestOmp:
 
 def rank_drop_warnings(caught):
     return sum("rank-deficient" in str(w.message) for w in caught)
+
+
+def traced_omp(rows, dictionary, sparsity):
+    """(estimate, support, residual norms, rank-drop warnings) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est, trace = omp_estimate(rows, dictionary, sparsity, with_trace=True)
+    return est, trace.support, trace.residual_norms, rank_drop_warnings(caught)
+
+
+def assert_same_omp(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
 
 
 def loop_omp(y, dictionary, sparsity):
@@ -346,6 +371,45 @@ class TestOmpBatch:
         assert np.all(np.isfinite(est))
         assert np.array_equal(est[1], np.zeros(4, complex))
 
+    def test_row_blocks_give_the_one_block_results(self, monkeypatch):
+        # 16 atoms: the default block holds all 221 rows, this one 7.
+        whole = traced_omp(self.rows, self.dictionary, self.sparsity)
+        monkeypatch.setattr(baseline_estimators, "_OMP_BLOCK", 7 * 16)
+        blocked = traced_omp(self.rows, self.dictionary, self.sparsity)
+        assert whole[3] > 0
+        assert_same_omp(blocked, whole)
+
+    def test_row_blocks_at_paper_shapes(self, monkeypatch):
+        # 1024 atoms: the default block holds 48 rows, so 130 rows make 3.
+        geometry = ArrayGeometry(256, 10.0)
+        sched = random_schedule(256, 4, 64, np.random.default_rng(6))
+        dictionary = build_dictionary(geometry, sched, 1024)
+        assert baseline_estimators._OMP_BLOCK // 1024 == 48
+        scattering = ScatteringConfig(2, 10, np.radians(5))
+        rows = []
+        for i in range(130):
+            rng = np.random.default_rng((53, i))
+            h = draw_channel(scattering, geometry, rng)
+            rows.append(observe(h, sched, noise_variance_for_snr(0.0), rng).samples)
+        rows = np.stack(rows)
+        blocked = traced_omp(rows, dictionary, 4)
+        monkeypatch.setattr(baseline_estimators, "_OMP_BLOCK", 130 * 1024)
+        assert_same_omp(blocked, traced_omp(rows, dictionary, 4))
+
+    def test_large_call_heap_stays_bounded(self):
+        # 2 000 paper-shape rows in one call; all rows at once held 224 MB.
+        sched = sequential_schedule(256, 4, 64)
+        dictionary = build_dictionary(ArrayGeometry(256, 10.0), sched, 1024)
+        rng = np.random.default_rng(12)
+        rows = rng.standard_normal((2000, 256)) + 1j * rng.standard_normal((2000, 256))
+        tracemalloc.start()
+        try:
+            omp_estimate(rows, dictionary, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="observation length"):
             omp_estimate(self.rows[:, :-1], self.dictionary, 3)
@@ -409,6 +473,12 @@ class TestLsObserved:
         sched = sequential_schedule(8, 2, 2)
         with pytest.raises(ValueError, match="length"):
             ls_observed_estimate(np.zeros(5, complex), sched, 0.0)
+
+    @pytest.mark.parametrize("sigma2", [-1.0, float("nan"), float("inf")])
+    def test_invalid_noise_variance_rejected(self, sigma2):
+        sched = sequential_schedule(8, 2, 2)
+        with pytest.raises(ValueError, match=f"sigma2 .*got {sigma2}"):
+            ls_observed_estimate(np.zeros(4, complex), sched, sigma2)
 
     def test_row_matrix_matches_row_calls_bitwise(self):
         sched = SwitchSchedule(np.array([[0, 2], [2, 1], [0, 3], [0, 1]]), 6)

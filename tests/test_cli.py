@@ -393,6 +393,18 @@ class TestMainEntry:
         assert rc == 1
         assert "rho" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, found", [("[1, 2]", "array"), ('"x"', "string")])
+    def test_config_that_is_not_an_object_exits_nonzero(
+        self, tmp_path, capsys, text, found
+    ):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text(text)
+        rc = main(["show-config", "--profile", "desk", "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: expected a JSON object, got {found}\n"
+        )
+
     def test_snr_whose_noise_variance_overflows_exits_nonzero(self, tmp_path, capsys):
         # 10^(4000/10) overflows a float64; -3000 dB still fits.
         cfg_file = tmp_path / "cfg.json"

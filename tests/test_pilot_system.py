@@ -182,6 +182,12 @@ class TestObserve:
         with pytest.raises(ValueError, match="sigma2"):
             observe(np.zeros(4, complex), sched, -1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma2):
+        sched = sequential_schedule(4, 2, 2)
+        with pytest.raises(ValueError, match=f"sigma2 .*got {sigma2}"):
+            observe(np.ones(4, complex), sched, sigma2, np.random.default_rng(0))
+
 
 class TestAddNoise:
     def test_per_row_variance_and_rows_without_noise_untouched(self):
