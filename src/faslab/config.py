@@ -2,8 +2,9 @@
 
 The default configuration reproduces the reference simulation setup
 (256 ports over a 10-wavelength aperture, 4 antennas, 64 pilot slots,
-hidden width 512, 5e4 training samples, batch 256, lr 1e-4, patience 20).
-A reduced "desk" profile ships for CPU-scale runs and CI.
+hidden width 512, 5e4 training samples, batch 256, lr 1e-4, patience 20);
+the "paper" profile is that setup trained in float32.  A reduced "desk"
+profile, trained in float64, ships for CPU-scale runs and CI.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .pilot_system import (
 )
 
 SCHEDULE_KINDS = ("sequential", "random")
+# Training precisions; the model file and inference stay float64 either way.
+COMPUTE_DTYPES = ("float64", "float32")
 
 
 @dataclass
@@ -96,6 +99,8 @@ class ExperimentConfig:
     n_test_samples: int = 2000
     dictionary_oversampling: int = 4
     seeds: Seeds = field(default_factory=Seeds)
+    # Post-v1: the float type the MLP trains in (see _POST_V1_FIELDS).
+    compute_dtype: str = "float64"
     dataset_dir: str = "artifacts/datasets"
     model_dir: str = "artifacts/models"
     results_dir: str = "artifacts/results"
@@ -149,6 +154,11 @@ class ExperimentConfig:
             self.dictionary_oversampling >= 1,
             "dictionary_oversampling",
             "must be an integer >= 1",
+        )
+        check(
+            self.compute_dtype in COMPUTE_DTYPES,
+            "compute_dtype",
+            f"must be one of {COMPUTE_DTYPES}",
         )
 
     # -- derived physical objects ---------------------------------------
@@ -239,17 +249,22 @@ def canonical_json(cfg: ExperimentConfig) -> str:
 # Storage locations are excluded from fingerprints: where artifacts live must
 # not change what gets generated or trained.
 _PATH_FIELDS = ("dataset_dir", "model_dir", "results_dir")
+# Fields added after v1 are excluded too, so that adding one moves no FASD
+# header and no split, shuffle or init stream (cmd_train derives those from
+# the dataset fingerprint).  Training precision changes no dataset byte.
+_POST_V1_FIELDS = ("compute_dtype",)
 
 
 def _fingerprint_payload(cfg: ExperimentConfig) -> dict:
     data = cfg.to_dict()
-    for key in _PATH_FIELDS:
+    for key in _PATH_FIELDS + _POST_V1_FIELDS:
         data.pop(key, None)
     return data
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> bytes:
-    """32-byte digest of the experiment-defining fields (paths excluded)."""
+    """32-byte digest of the experiment-defining fields (paths and post-v1
+    fields excluded)."""
     return _digest(_fingerprint_payload(cfg))
 
 
@@ -266,8 +281,12 @@ def dataset_fingerprint(cfg: ExperimentConfig, snr_db) -> bytes:
 
 
 def paper_profile() -> ExperimentConfig:
-    """Full-scale reference setup (GPU-friendly; heavy on CPU)."""
-    return ExperimentConfig()
+    """Full-scale reference setup (GPU-friendly; heavy on CPU).
+
+    It trains in float32, about twice as fast as float64 at these shapes;
+    the model file and inference stay float64.
+    """
+    return replace(ExperimentConfig(), compute_dtype="float32")
 
 
 def desk_profile() -> ExperimentConfig:

@@ -387,18 +387,27 @@ def _check_width(nrm: Normalizer, matrix: np.ndarray) -> np.ndarray:
 
 
 def apply_normalizer(nrm: Normalizer, matrix: np.ndarray, out=None) -> np.ndarray:
-    """(matrix - mean) / scale in float64 (a float32 matrix is widened
-    exactly), written into ``out`` when it is given (it may be ``matrix``
-    itself) and into a new array otherwise."""
-    out = np.subtract(_check_width(nrm, matrix), nrm.mean, out=out, dtype=float)
-    out /= nrm.scale()
+    """(matrix - mean) / scale, written into ``out`` when it is given (it may
+    be ``matrix`` itself) and into a new float64 array otherwise.
+
+    The arithmetic runs in ``out``'s dtype: float64 widens a float32 matrix
+    exactly, and a float32 ``out`` takes the statistics rounded to float32.
+    """
+    dtype = float if out is None else out.dtype
+    out = np.subtract(
+        _check_width(nrm, matrix), nrm.mean.astype(dtype, copy=False), out=out, dtype=dtype
+    )
+    out /= nrm.scale().astype(dtype, copy=False)
     return out
 
 
 def invert_normalizer(nrm: Normalizer, matrix: np.ndarray, out=None) -> np.ndarray:
-    """matrix * scale + mean; float64 and ``out`` as in :func:`apply_normalizer`."""
-    out = np.multiply(_check_width(nrm, matrix), nrm.scale(), out=out, dtype=float)
-    out += nrm.mean
+    """matrix * scale + mean; dtype and ``out`` as in :func:`apply_normalizer`."""
+    dtype = float if out is None else out.dtype
+    out = np.multiply(
+        _check_width(nrm, matrix), nrm.scale().astype(dtype, copy=False), out=out, dtype=dtype
+    )
+    out += nrm.mean.astype(dtype, copy=False)
     return out
 
 

@@ -148,6 +148,7 @@ def cmd_train(
         batch_size=cfg.batch_size,
         max_epochs=cfg.max_epochs,
         patience=cfg.patience,
+        compute_dtype=cfg.compute_dtype,
     )
     params, normalizers, report = train(
         train_ds, val_ds, hyper, init_rng, shuffle_rng
@@ -162,7 +163,7 @@ def cmd_train(
     save_model(model_file, params, normalizers)
     write_artifact(curve_file, [report_to_csv(report).encode()])
     print(
-        f"trained {dataset_file.stem}: best epoch {report.best_epoch}/"
+        f"trained {dataset_file.stem} in {cfg.compute_dtype}: best epoch {report.best_epoch}/"
         f"{report.epochs_run}, val NMSE {report.val_nmse_db[report.best_epoch - 1]:.2f} dB"
         f"{' (early stop)' if report.stopped_early else ''}"
     )

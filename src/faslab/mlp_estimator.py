@@ -3,8 +3,16 @@
 Two ReLU hidden layers of equal width and a linear output layer, trained
 with mini-batch Adam on mean-squared error over standard-score-normalized
 targets.  Model selection and reporting use NMSE on de-normalized channels.
-All arithmetic runs in 64-bit floats regardless of the 32-bit dataset
-storage.
+
+Training runs in the float type ``Hyperparams.compute_dtype`` names: float64
+(the default) or float32, which roughly halves the cost of a paper-shape
+step.  The layers keep the dtype of the parameters they are given, and each
+mini-batch is normalized from the float32 dataset rows straight into a batch
+buffer of that dtype.  Float32 training starts from the float64 draw of
+:func:`init_params` rounded to float32 and returns its best parameters
+widened back to float64.  Everything else is float64 whatever the training
+precision: the normalizer statistics, the reported losses and NMSEs, the
+FASM file, and inference through :func:`predict` and :func:`predict_batch`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import COMPUTE_DTYPES
 from .dataset_pipeline import (
     Dataset,
     Normalizer,
@@ -44,12 +53,12 @@ def _param_shapes(d_in: int, hidden: int, d_out: int) -> tuple[tuple[int, ...], 
 class MlpParams:
     """Weights and biases; w1: (H, D_in), w2: (H, H), w3: (D_out, H).
 
-    The six fields are views into one contiguous float64 vector ``flat``
-    holding w1, b1, w2, b2, w3, b3 back to back, row-major: the parameter
-    block of a FASM file.  Writing through a field writes ``flat``; the
-    fields cannot be rebound.  Gradients and Adam moments use the same
-    container.  The constructor copies its six arrays into a new buffer;
-    :meth:`from_flat` wraps an existing one.
+    The six fields are views into one contiguous vector ``flat`` holding w1,
+    b1, w2, b2, w3, b3 back to back, row-major: the parameter block of a FASM
+    file.  ``flat`` is float64, or float32 during float32 training.  Writing
+    through a field writes ``flat``; the fields cannot be rebound.  Gradients
+    and Adam moments use the same container.  The constructor copies its six
+    arrays into a new float64 buffer; :meth:`from_flat` wraps an existing one.
     """
 
     __slots__ = ("flat", "_fields")
@@ -137,7 +146,7 @@ class ForwardCache:
     of buffers sized for the largest batch so far, so handing the cache back
     to :func:`forward` reuses them: the next pass through the same cache
     overwrites the previous one's output.  :func:`backward` keeps its scratch
-    here too.
+    here too.  The buffers take the parameters' dtype.
     """
 
     def __init__(self):
@@ -146,10 +155,11 @@ class ForwardCache:
         self.params = None
         self._buffers: dict[str, np.ndarray] = {}
 
-    def _rows(self, name: str, rows: int, width: int, dtype=float) -> np.ndarray:
-        """The first ``rows`` rows of the named buffer, grown if too small."""
+    def _rows(self, name: str, rows: int, width: int, dtype) -> np.ndarray:
+        """The first ``rows`` rows of the named buffer, grown if too small
+        and replaced if its width or dtype differs."""
         buf = self._buffers.get(name)
-        if buf is None or buf.shape[0] < rows or buf.shape[1] != width:
+        if buf is None or buf.shape[0] < rows or buf.shape[1] != width or buf.dtype != dtype:
             buf = self._buffers[name] = np.empty((rows, width), dtype=dtype)
         return buf[:rows]
 
@@ -158,12 +168,14 @@ def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None)
     """y = w3 @ relu(w2 @ relu(w1 @ x + b1) + b2) + b3.
 
     Accepts a single input vector (D_in,) or a batch (B, D_in); the output
-    matches the input's batch shape.  Returns (y, cache).  Passing the cache
-    of an earlier call reuses its buffers, and the returned y is then
+    matches the input's batch shape.  Everything runs in the parameters'
+    dtype, and the input is cast to it.  Returns (y, cache).  Passing the
+    cache of an earlier call reuses its buffers, and the returned y is then
     overwritten by the next pass through that cache.  Each ReLU overwrites
     its pre-activation, so the cache holds no pre-activations.
     """
-    x = np.asarray(x, dtype=float)
+    dtype = params.flat.dtype
+    x = np.asarray(x, dtype=dtype)
     single = x.ndim == 1
     xb = x[None, :] if single else x
     d_in, hidden, d_out = params.dims()
@@ -172,8 +184,8 @@ def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None)
     if cache is None:
         cache = ForwardCache()
     rows = xb.shape[0]
-    a1, a2 = cache._rows("a1", rows, hidden), cache._rows("a2", rows, hidden)
-    y = cache._rows("y", rows, d_out)
+    a1, a2 = cache._rows("a1", rows, hidden, dtype), cache._rows("a2", rows, hidden, dtype)
+    y = cache._rows("y", rows, d_out, dtype)
     np.matmul(xb, params.w1.T, out=a1)
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)
@@ -191,17 +203,21 @@ def mse_loss(pred: np.ndarray, target: np.ndarray, out: np.ndarray | None = None
     """Mean over all entries of the squared difference, and its gradient
     2*(pred - target)/count with respect to the prediction.
 
-    The gradient is written into ``out`` when it is given (pred's shape);
-    the squares are formed there first, so no array is allocated.
+    The gradient takes pred's dtype (float32 stays float32; anything else
+    becomes float64) and is written into ``out`` when it is given (pred's
+    shape); the squares are formed there first, so no array is allocated.
+    The loss is a float64 mean whatever the dtype.
     """
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
+    pred = np.asarray(pred)
+    dtype = np.float32 if pred.dtype == np.float32 else np.float64
+    pred = pred.astype(dtype, copy=False)
+    target = np.asarray(target, dtype=dtype)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     if out is None:
         out = np.empty_like(pred)
     np.square(np.subtract(pred, target, out=out), out=out)
-    loss = float(np.mean(out))
+    loss = float(np.mean(out, dtype=np.float64))
     grad = np.subtract(pred, target, out=out)
     grad *= 2.0
     grad /= grad.size
@@ -217,12 +233,13 @@ def backward(
     output shape.  The ReLU subgradient at exactly zero is taken as zero.
     The mask is ``relu(z) > 0``, which is ``z > 0`` for every z (NaN, -0 and
     -inf included), so the pre-activations need not be kept.
-    The gradients are written into ``out`` when it is given (a net of the
-    same dims, reused across steps) and returned.
+    The gradients, in the parameters' dtype, are written into ``out`` when it
+    is given (a net of the same dims, reused across steps) and returned.
     """
     if cache.params is not params:
         raise ValueError("cache was produced by a different parameter set")
-    d_out = np.asarray(d_out, dtype=float)
+    dtype = params.flat.dtype
+    d_out = np.asarray(d_out, dtype=dtype)
     dy = d_out[None, :] if cache.single else d_out
     rows = cache.x.shape[0]
     if dy.shape != (rows, params.w3.shape[0]):
@@ -231,10 +248,13 @@ def backward(
         )
     if out is None:
         out = params.zeros_like()
-    elif out.dims() != params.dims():
-        raise ValueError(f"gradient buffer {out.dims()} does not match {params.dims()}")
+    elif out.dims() != params.dims() or out.flat.dtype != dtype:
+        raise ValueError(
+            f"gradient buffer {out.dims()} {out.flat.dtype} does not match "
+            f"{params.dims()} {dtype}"
+        )
     hidden = params.w2.shape[0]
-    dz2, dz1 = cache._rows("dz2", rows, hidden), cache._rows("dz1", rows, hidden)
+    dz2, dz1 = cache._rows("dz2", rows, hidden, dtype), cache._rows("dz1", rows, hidden, dtype)
     mask = cache._rows("mask", rows, hidden, dtype=bool)
     np.matmul(dy.T, cache.a2, out=out.w3)
     np.sum(dy, axis=0, out=out.b3)
@@ -268,11 +288,13 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-8
-    # adam_step's scratch, so that an update allocates nothing.
+    # adam_step's scratch, in the moments' dtype, so that an update allocates
+    # nothing.
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._scratch = np.empty((2, min(self.first_moment.flat.size, _ADAM_BLOCK)))
+        flat = self.first_moment.flat
+        self._scratch = np.empty((2, min(flat.size, _ADAM_BLOCK)), dtype=flat.dtype)
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float, *constants) -> "AdamState":
@@ -289,10 +311,13 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
     theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-identical.
     Every gradient is checked before anything is updated: a non-finite one
     raises ``ValueError`` naming its field and leaves the state untouched.
+    The update runs in the dtype that the parameters, gradients and moments
+    share.
     """
-    moments = (state.first_moment, state.second_moment)
-    if not params.dims() == grads.dims() == moments[0].dims() == moments[1].dims():
-        raise ValueError("parameters, gradients and moments differ in dims")
+    nets = (params, grads, state.first_moment, state.second_moment)
+    if len({(net.dims(), net.flat.dtype) for net in nets}) != 1:
+        raise ValueError("parameters, gradients and moments differ in dims or dtype")
+    moments = nets[2:]
     theta, grad = params.flat, grads.flat
     blocks = [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, theta.size, _ADAM_BLOCK)]
     # The finiteness flags of a block go into the scratch's bytes, viewed as bools.
@@ -417,6 +442,7 @@ class Hyperparams:
     batch_size: int
     max_epochs: int
     patience: int
+    compute_dtype: str = "float64"  # one of config.COMPUTE_DTYPES
 
 
 @dataclass
@@ -450,13 +476,23 @@ def train(
     the training rows (the last partial batch is kept); after every epoch the
     validation NMSE is computed on de-normalized channel vectors.  The
     training rows stay in the dataset's float32 matrices: each mini-batch is
-    gathered from them and normalized into a float64 batch buffer.  Training
-    stops once the epochs since the best validation NMSE exceed
-    ``hyper.patience``, and the parameters from that best epoch are returned.
+    gathered from them and normalized into a batch buffer.  Training stops
+    once the epochs since the best validation NMSE exceed ``hyper.patience``,
+    and the parameters from that best epoch are returned, as float64.
+
+    Parameters, gradients, Adam moments, batch buffers and activations are
+    all in ``hyper.compute_dtype``; the validation pass runs in it too.  The
+    initialization is drawn in float64 whatever the dtype, so both dtypes
+    start from the same draw.
 
     ``rng`` seeds the parameter initialization and, when ``shuffle_rng`` is
     not given, the epoch shuffles too.  Returns (params, normalizers, report).
     """
+    if hyper.compute_dtype not in COMPUTE_DTYPES:
+        raise ValueError(
+            f"compute_dtype must be one of {COMPUTE_DTYPES}, got {hyper.compute_dtype!r}"
+        )
+    dtype = np.dtype(hyper.compute_dtype)
     if train_ds.n_samples < 2 or val_ds.n_samples < 1:
         raise ValueError(
             f"need >= 2 train and >= 1 validation rows, got "
@@ -473,12 +509,16 @@ def train(
     tgt_nrm = fit_normalizer(train_ds.targets)
     normalizers = Normalizers(feat_nrm, tgt_nrm)
 
-    x_val = apply_normalizer(feat_nrm, val_ds.features)
+    x_val = apply_normalizer(
+        feat_nrm, val_ds.features, out=np.empty(val_ds.features.shape, dtype)
+    )
     h_val = _rows_to_complex(val_ds.targets)
 
     d_in = feat_nrm.width
     d_out = tgt_nrm.width
     params = init_params(d_in, hyper.hidden_width, d_out, rng)
+    if dtype != params.flat.dtype:
+        params = MlpParams.from_flat(params.flat.astype(dtype), *params.dims())
     state = AdamState.for_params(params, hyper.learning_rate)
 
     report = TrainReport()
@@ -491,9 +531,9 @@ def train(
     batch = min(hyper.batch_size, n)
     x_rows = np.empty((batch, d_in), dtype=train_ds.features.dtype)
     t_rows = np.empty((batch, d_out), dtype=train_ds.targets.dtype)
-    x_batch = np.empty((batch, d_in))
-    t_batch = np.empty((batch, d_out))
-    d_batch = np.empty((batch, d_out))
+    x_batch = np.empty((batch, d_in), dtype)
+    t_batch = np.empty((batch, d_out), dtype)
+    d_batch = np.empty((batch, d_out), dtype)
     grads = params.zeros_like()
     cache = None
 
@@ -538,6 +578,8 @@ def train(
             report.stopped_early = True
             break
 
+    # A float32 value widens to float64 exactly.
+    best_params = MlpParams.from_flat(best_params.flat.astype(float, copy=False), *params.dims())
     return best_params, normalizers, report
 
 

@@ -190,15 +190,14 @@ def test_criterion_06_ls_observed_closed_form():
             )
 
 
-@pytest.fixture(scope="module")
-def desk_run(tmp_path_factory):
+def run_desk_pipeline(root, **overrides):
     """The desk-profile pipeline: per-SNR datasets, models, and sweep CSV."""
-    root = tmp_path_factory.mktemp("desk")
     cfg = replace(
         desk_profile(),
         dataset_dir=str(root / "datasets"),
         model_dir=str(root / "models"),
         results_dir=str(root / "results"),
+        **overrides,
     )
     start = time.monotonic()
     files = cmd_generate(cfg)
@@ -213,31 +212,59 @@ def desk_run(tmp_path_factory):
     return cfg, rows, elapsed
 
 
+@pytest.fixture(scope="module")
+def desk_run(tmp_path_factory):
+    return run_desk_pipeline(tmp_path_factory.mktemp("desk"))
+
+
+@pytest.fixture(scope="module")
+def desk_run_float32(tmp_path_factory):
+    return run_desk_pipeline(tmp_path_factory.mktemp("desk_float32"), compute_dtype="float32")
+
+
+def check_learning_efficacy(run):
+    """Criterion 7's assertions on one desk pipeline run."""
+    cfg, rows, elapsed = run
+    assert elapsed < 900, f"desk pipeline took {elapsed:.0f}s (budget 900s)"
+    mlp_0 = rows[(0.0, "mlp")]
+    ls_0 = rows[(0.0, "ls_observed")]
+    assert mlp_0 <= ls_0 - 3.0, (
+        f"MLP {mlp_0:.2f} dB not 3 dB below LS {ls_0:.2f} dB at 0 dB SNR"
+    )
+    assert mlp_0 < 0.0, f"MLP NMSE {mlp_0:.2f} dB not below 0 dB"
+    curve = [rows[(snr, "mlp")] for snr in (-10.0, 0.0, 10.0)]
+    for lo, hi in zip(curve[1:], curve[:-1]):
+        assert lo <= hi + 0.5, f"MLP NMSE curve not non-increasing: {curve}"
+
+
+def check_convergence(run):
+    """Criterion 8's assertions on one desk pipeline run."""
+    cfg, _, _ = run
+    assert cfg.patience == 20
+    trace = curve_path(cfg, 0.0).read_text().strip().splitlines()[1:]
+    val_db = [float(line.split(",")[2]) for line in trace]
+    assert len(val_db) < cfg.max_epochs, (
+        f"no early stop: ran all {cfg.max_epochs} epochs"
+    )
+    assert min(val_db) < val_db[0], "best epoch no better than epoch 1"
+
+
 def test_criterion_07_desk_scale_learning_efficacy(desk_run):
-    cfg, rows, elapsed = desk_run
     with criterion(7, "desk-scale learning efficacy vs LS baseline"):
-        assert elapsed < 900, f"desk pipeline took {elapsed:.0f}s (budget 900s)"
-        mlp_0 = rows[(0.0, "mlp")]
-        ls_0 = rows[(0.0, "ls_observed")]
-        assert mlp_0 <= ls_0 - 3.0, (
-            f"MLP {mlp_0:.2f} dB not 3 dB below LS {ls_0:.2f} dB at 0 dB SNR"
-        )
-        assert mlp_0 < 0.0, f"MLP NMSE {mlp_0:.2f} dB not below 0 dB"
-        curve = [rows[(snr, "mlp")] for snr in (-10.0, 0.0, 10.0)]
-        for lo, hi in zip(curve[1:], curve[:-1]):
-            assert lo <= hi + 0.5, f"MLP NMSE curve not non-increasing: {curve}"
+        check_learning_efficacy(desk_run)
 
 
 def test_criterion_08_convergence_behavior(desk_run):
-    cfg, _, _ = desk_run
     with criterion(8, "convergence and early stopping in the desk run"):
-        assert cfg.patience == 20
-        trace = curve_path(cfg, 0.0).read_text().strip().splitlines()[1:]
-        val_db = [float(line.split(",")[2]) for line in trace]
-        assert len(val_db) < cfg.max_epochs, (
-            f"no early stop: ran all {cfg.max_epochs} epochs"
-        )
-        assert min(val_db) < val_db[0], "best epoch no better than epoch 1"
+        check_convergence(desk_run)
+
+
+def test_criteria_07_and_08_hold_when_training_in_float32(desk_run_float32):
+    assert desk_run_float32[0].compute_dtype == "float32"
+    with criterion(7, "desk-scale learning efficacy, trained in float32"):
+        check_learning_efficacy(desk_run_float32)
+    with criterion(8, "convergence and early stopping, trained in float32"):
+        check_convergence(desk_run_float32)
 
 
 def test_criterion_09_complexity_counters():

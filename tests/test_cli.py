@@ -2,6 +2,8 @@
 
 import json
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,10 @@ from faslab.experiment_cli import (
     load_config,
     main,
 )
-from faslab.mlp_estimator import ensemble_nmse
+from faslab.mlp_estimator import ensemble_nmse, load_model, predict, predict_batch
 from faslab.pilot_system import noise_variance_for_snr, observe
 from faslab.channel_model import draw_channel
+from test_golden import CONFIGS as GOLDEN_CONFIGS, golden_config
 
 
 def micro_config(tmp_path, **overrides):
@@ -70,6 +73,11 @@ class TestConfigDefaults:
         assert cfg.learning_rate == 1e-4
         assert cfg.patience == 20
 
+    def test_training_precision_defaults(self):
+        assert ExperimentConfig().compute_dtype == "float64"
+        assert desk_profile().compute_dtype == "float64"
+        assert paper_profile().compute_dtype == "float32"
+
     def test_desk_profile_keeps_full_coverage(self):
         cfg = desk_profile()
         assert cfg.num_ports == 64
@@ -94,6 +102,13 @@ class TestConfigValidation:
         cfg = ExperimentConfig(schedule_kind="zigzag")
         with pytest.raises(ConfigError, match="schedule_kind"):
             cfg.validate()
+
+    @pytest.mark.parametrize("value", ["float16", 32])
+    def test_bad_compute_dtype_named(self, value):
+        with pytest.raises(ConfigError, match="compute_dtype"):
+            ExperimentConfig(compute_dtype=value).validate()
+        with pytest.raises(ConfigError, match="compute_dtype"):
+            ExperimentConfig.from_dict({"compute_dtype": value}).validate()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="learning_rte"):
@@ -150,6 +165,52 @@ class TestStrictOverlay:
         assert "num_ports" in capsys.readouterr().err
 
 
+PROFILE_AND_GOLDEN_CONFIGS = {
+    "desk": desk_profile,
+    "paper": paper_profile,
+    **{
+        name: (lambda overrides=overrides: golden_config(Path("golden"), **overrides))
+        for name, overrides in GOLDEN_CONFIGS.items()
+        if name != "sequential_float32"
+    },
+}
+
+# dataset_fingerprint(cfg, snr).hex() per SNR point, and for the mixed mode.
+PINNED_FINGERPRINTS = {
+    "desk": {
+        -10.0: "33366b2a015d2ac5c72faf966962ad7e94539a700e32715607c1f98d016f6f5d",
+        0.0: "1655f5303de24ad7a5e5c99702143078cd8fb96255e3b5bbd0e451590a4f5b79",
+        10.0: "8af08997f93e6ff1f58316168bb012c34faf1b123c35a547d6ec3968ad86e68c",
+        "mixed": "15757a88b55658ad1c0c9fc5b207160299369b0135569a78c3cc550e517e2d8b",
+    },
+    "paper": {
+        -15.0: "1493c5771b460f2dc47e6aceb0bebb09c0ead39253963874849b1338d9ae56d7",
+        -10.0: "07d5112de1b4645ad1773c3c7ca5059f417b6f187ae65cc2b08b24f79ec6c7c8",
+        -5.0: "d9bd0b79d5904a0eaca835c6be928845ecd63aa3da3cdc54211fae0ded5c45fe",
+        0.0: "661ff698b438e37221c54bf041d81a97c9a366cc22fcf192fffac2ee8ef3e25d",
+        5.0: "805648d52e0a3e0ff7435e5fff183261d485660e5d2c7d7b591cf8c819950afe",
+        10.0: "e349544e0d063c525abb07908dc65ef9f5fdfb7aae3e29cb57daacb4d70701c9",
+        15.0: "c89648d257a7b0ab5d64361ee3fc01fa6366fd187b57dda2fa2147c551657a30",
+        "mixed": "03a1b6f1a8fbca6df8b4f0d9f314478f1766064d62f8dbbe82513972ba094544",
+    },
+    "random_mixed": {
+        -10.0: "ade0ab7923c58965aa32f4fcfd7ccf1e0b3b1b18239b75712069605e9e0efff8",
+        10.0: "85fa408cc2c26ba1b4e0729c2c409cd71af7a869a2cf8172c19fd196058db6b5",
+        "mixed": "c13987466e9b5dd945faf2ffbab5a532f4349a2e3d4446f1e52571a5737b8b2a",
+    },
+    "sequential": {
+        -10.0: "4077cecbc705fc90925b02f4ea64f63be37fadd96c39c8aafa1f47fd8a0b42dc",
+        10.0: "8fae01bb1cf264a6b136491ca7d6d9135ef39a006feb1eec7e8720fdde3aa4db",
+        "mixed": "10cb1941b33a27e8d2a2be9374454cd1b8361b58e7a626defba0cf2fca70c1da",
+    },
+    "sequential_wide_val": {
+        -10.0: "20497e965541ebca059c784716dbfb9666e59e723915a88bdf559ad171990fa7",
+        10.0: "126e08c67f88f840f90576f098fc77c0f38c2eb3229d4bcbfd66380add625453",
+        "mixed": "fc48ab26b7b75661c689727b94b283db8cdcd540c48e08a1ec0e60f11e31c2e3",
+    },
+}
+
+
 class TestConfigSerialization:
     def test_canonical_round_trip(self):
         cfg = desk_profile()
@@ -176,6 +237,23 @@ class TestConfigSerialization:
         b.results_dir = "/another/place"
         assert config_fingerprint(a) == config_fingerprint(b)
         assert dataset_fingerprint(a, 0.0) == dataset_fingerprint(b, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+    def test_dataset_fingerprints_pinned(self, name):
+        # Recorded before compute_dtype existed: a field added after v1 must
+        # move no dataset fingerprint, at its default or at any other value.
+        cfg = PROFILE_AND_GOLDEN_CONFIGS[name]()
+        pins = PINNED_FINGERPRINTS[name]
+        assert set(pins) == {*cfg.snr_db_list, "mixed"}
+        for dtype in ("float64", "float32"):
+            cfg = replace(cfg, compute_dtype=dtype)
+            for snr in cfg.snr_db_list:
+                assert dataset_fingerprint(cfg, snr).hex() == pins[snr], (dtype, snr)
+            mixed = dataset_fingerprint(cfg, list(cfg.snr_db_list)).hex()
+            assert mixed == pins["mixed"], dtype
+            assert config_fingerprint(cfg) == config_fingerprint(
+                replace(cfg, compute_dtype="float64")
+            )
 
     def test_partial_config_file_over_profile(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -266,6 +344,34 @@ class TestPipelineCommands:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + len(cfg.snr_db_list) * 3
         assert (tmp_path / "models" / "snr_mixed.fasm").exists()
+
+    def test_float32_training_is_byte_reproducible_and_named(self, tmp_path, capsys):
+        cfg = micro_config(tmp_path, compute_dtype="float32")
+        dataset = cmd_generate(cfg)[0]
+        outputs = []
+        for run in ("one", "two"):
+            model_file, curve_file = cmd_train(
+                cfg, dataset, tmp_path / run / "m.fasm", tmp_path / run / "c.csv"
+            )
+            outputs.append((model_file.read_bytes(), curve_file.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert f"trained {dataset.stem} in float32: best epoch" in capsys.readouterr().out
+
+    def test_float32_model_file_holds_float32_values_as_float64(self, tmp_path):
+        cfg = micro_config(tmp_path, compute_dtype="float32", snr_db_list=[10.0])
+        model_file, _ = cmd_train(cfg, cmd_generate(cfg)[0])
+        params, normalizers = load_model(model_file)
+        assert params.flat.dtype == np.float64
+        assert np.array_equal(params.flat.astype(np.float32).astype(np.float64), params.flat)
+        # Inference stays float64: one row through predict agrees with the
+        # batch path as it does for a float64-trained model.
+        rng = np.random.default_rng(7)
+        pilots = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
+        batch = predict_batch(params, normalizers, pilots)
+        assert batch.dtype == np.complex128
+        for row, want in zip(pilots, batch):
+            got = predict(params, normalizers, row)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_fingerprint_mismatch_warns(self, tmp_path):
         cfg = micro_config(tmp_path)

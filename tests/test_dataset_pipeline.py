@@ -370,6 +370,29 @@ class TestNormalizer:
         assert invert_normalizer(nrm, out, out=out) is out
         assert out.tobytes() == expected_back.tobytes()
 
+    def test_float32_out_buffers_compute_in_float32(self):
+        # The statistics are rounded to float32 and the arithmetic stays in
+        # float32, so no float64 temporary of the matrix's size is made.
+        rng = np.random.default_rng(10)
+        rows = (rng.standard_normal((500, 64)) * 5 + 2).astype(np.float32)
+        nrm = fit_normalizer(rows)
+        nrm.std[2] = 0.0  # the epsilon guard
+        mean32 = nrm.mean.astype(np.float32)
+        scale32 = np.maximum(nrm.std, nrm.epsilon).astype(np.float32)
+        out = np.empty_like(rows)
+        tracemalloc.start()
+        try:
+            assert apply_normalizer(nrm, rows, out=out) is out
+            assert invert_normalizer(nrm, out, out=out) is out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.size * 8 // 4
+        expected = (rows - mean32) / scale32
+        assert expected.dtype == np.float32
+        assert out.tobytes() == (expected * scale32 + mean32).tobytes()
+        assert apply_normalizer(nrm, rows, out=out).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "shape", [(2, 3), (3, 1), (1001, 129), (777, 64), (999, 66), (300, 4161)]
     )

@@ -1,6 +1,6 @@
 """Golden artifact bytes: SHA-256 of every file the quick start writes.
 
-Three tiny fixed desk configs run generate -> train -> sweep; the digests of
+Four tiny fixed desk configs run generate -> train -> sweep; the digests of
 the FASD, FASM, convergence CSV and sweep CSV files were recorded once and
 must not move.  One fixed pilot CSV run through one of those models pins
 the eval-single CSV the same way.  A refactor or speed-up that changes one of them changed
@@ -46,12 +46,14 @@ def golden_config(tmp_path, **overrides):
 
 
 # Sequential full coverage with one model per SNR, a random schedule that
-# revisits ports (48 samples over 32 ports) with one mixed-SNR model, and the
-# sequential config with more validation rows (120) than the batch (32).
+# revisits ports (48 samples over 32 ports) with one mixed-SNR model, the
+# sequential config with more validation rows (120) than the batch (32), and
+# the sequential config trained in float32.
 CONFIGS = {
     "sequential": {},
     "random_mixed": {"schedule_kind": "random", "num_slots": 12, "mixed_snr": True},
     "sequential_wide_val": {"rho": 0.4},
+    "sequential_float32": {"compute_dtype": "float32"},
 }
 
 GOLDEN = {
@@ -79,6 +81,18 @@ GOLDEN = {
         "convergence_snr+10.0dB.csv": "2169e904c9e6df1c7fb67183c311eb2f339d05a1e049a4f08b08110a14d485fc",
         "sweep.csv": "9d9bd33a646fe1adcaa8efb40b15156f49384fef4c596a6e60bb9d6751012e5a",
     },
+    # Training precision enters no fingerprint, so the datasets are the
+    # sequential config's; the models differ.  At these shapes the float32
+    # CSVs happen to match the float64 ones in all six printed digits.
+    "sequential_float32": {
+        "snr-10.0dB.fasd": "a1da6c75b78e956c01244c1ef969a3fb7b9ba1173bed2d51340b2a0cf82f75c4",
+        "snr-10.0dB.fasm": "764482b08b15388b51eb533dd3b9eaa54df678f0200b4e53f6164ea02ac83f0c",
+        "convergence_snr-10.0dB.csv": "1d24418b19e9101176f988e98dfb6cdf36913e50c015143973b780374cba4f8e",
+        "snr+10.0dB.fasd": "85616a077604deaf8a7bad0a2b0a9def250b20058ffd2e4717c23beca386a050",
+        "snr+10.0dB.fasm": "14a5d451948d9cf3634b89bfc8bf360018756b803d483b527f38db47df0c15bb",
+        "convergence_snr+10.0dB.csv": "6fdc0e4d5e18bfa7f19692c26f0b22af79b93221440debf3d319bc705444727c",
+        "sweep.csv": "df73259422513e8fcd2abe0e134d0523f6a528c1823bc80a3ab24621b10163fc",
+    },
 }
 
 
@@ -101,6 +115,15 @@ def test_artifact_digests_pinned(tmp_path, name):
     assert digests == GOLDEN[name], (
         f"artifact bytes of the '{name}' golden config changed (running numpy "
         f"{np.__version__}; digests recorded with numpy {RECORDED_WITH_NUMPY})"
+    )
+
+
+def test_float32_training_leaves_the_dataset_bytes_alone():
+    float32, float64 = GOLDEN["sequential_float32"], GOLDEN["sequential"]
+    fasd = [name for name in float64 if name.endswith(".fasd")]
+    assert fasd and all(float32[name] == float64[name] for name in fasd)
+    assert all(
+        float32[name] != float64[name] for name in float64 if name.endswith(".fasm")
     )
 
 

@@ -644,6 +644,139 @@ class TestTrain:
             )
 
 
+def float32_net(params):
+    """The net rounded to float32, as float32 training starts from it."""
+    return MlpParams.from_flat(params.flat.astype(np.float32), *params.dims())
+
+
+class TestFloat32:
+    def test_layers_keep_float32(self):
+        rng = np.random.default_rng(70)
+        p = float32_net(random_net(6, 9, 4, 71))
+        x = rng.standard_normal((5, 6)).astype(np.float32)
+        target = rng.standard_normal((5, 4)).astype(np.float32)
+        y, cache = forward(p, x)
+        assert y.dtype == np.float32
+        loss, dloss = mse_loss(y, target)
+        assert type(loss) is float and dloss.dtype == np.float32
+        assert loss == pytest.approx(float(np.mean((y.astype(float) - target) ** 2)), rel=1e-6)
+        grads = backward(p, cache, dloss)
+        assert grads.flat.dtype == np.float32
+        state = AdamState.for_params(p, 1e-3)
+        adam_step(p, grads, state)
+        assert p.flat.dtype == state.first_moment.flat.dtype == np.float32
+        assert state.second_moment.flat.dtype == state._scratch.dtype == np.float32
+
+    def test_backward_matches_float64_on_the_criterion_3_nets(self):
+        # The 50 nets, inputs and targets of acceptance criterion 3.
+        for trial in range(50):
+            rng = np.random.default_rng((3000, trial))
+            p = init_params(5, 7, 3, rng)
+            for name in ("b1", "b2", "b3"):
+                getattr(p, name)[...] = 0.3 * rng.standard_normal(getattr(p, name).shape)
+            x = rng.standard_normal(5)
+            target = rng.standard_normal(3)
+            y, cache = forward(p, x)
+            wide = backward(p, cache, mse_loss(y, target)[1])
+            p32 = float32_net(p)
+            y32, cache32 = forward(p32, x.astype(np.float32))
+            narrow = backward(p32, cache32, mse_loss(y32, target.astype(np.float32))[1])
+            for name in _FIELDS:
+                a, b = getattr(wide, name), getattr(narrow, name)
+                assert np.max(np.abs(b - a)) <= 1e-4 * np.max(np.abs(a)), (trial, name)
+
+    def test_nonfinite_gradient_named(self):
+        p = float32_net(random_net(3, 4, 2, 72))
+        state = AdamState.for_params(p, 0.01)
+        bad = p.zeros_like()
+        bad.b3[1] = np.inf
+        with pytest.raises(ValueError, match="non-finite gradient in b3"):
+            adam_step(p, bad, state)
+        assert state.step_count == 0
+
+    def test_mixed_dtypes_rejected(self):
+        p = random_net(3, 4, 2, 73)
+        state = AdamState.for_params(p, 0.01)
+        with pytest.raises(ValueError, match="dtype"):
+            adam_step(p, float32_net(p.zeros_like()), state)
+        _, cache = forward(p, np.zeros(3))
+        with pytest.raises(ValueError, match="gradient buffer"):
+            backward(p, cache, np.zeros(2), out=float32_net(p.zeros_like()))
+
+    def test_unknown_dtype_rejected(self):
+        for dtype in ("float16", "half"):
+            with pytest.raises(ValueError, match="compute_dtype"):
+                train(toy_dataset(40), toy_dataset(10), toy_hyper(compute_dtype=dtype),
+                      np.random.default_rng(0))
+
+    def test_starts_from_the_float64_draw_rounded(self):
+        # lr = 0 freezes the net, so the returned parameters are the start.
+        hyper = toy_hyper(learning_rate=0.0, max_epochs=2, compute_dtype="float32")
+        params, _, _ = train(toy_dataset(64, seed=74), toy_dataset(16, seed=75), hyper,
+                             np.random.default_rng(76))
+        start = init_params(8, 16, 6, np.random.default_rng(76))
+        assert params.flat.dtype == np.float64
+        assert np.array_equal(params.flat, start.flat.astype(np.float32).astype(np.float64))
+
+    def test_returns_float64_params_that_are_float32_values(self):
+        train_ds, val_ds = toy_dataset(400, seed=4), toy_dataset(100, seed=5)
+        reports = {}
+        for dtype in ("float64", "float32"):
+            params, normalizers, reports[dtype] = train(
+                train_ds, val_ds, toy_hyper(compute_dtype=dtype), np.random.default_rng(6)
+            )
+        assert params.flat.dtype == np.float64
+        assert np.array_equal(params.flat.astype(np.float32).astype(np.float64), params.flat)
+        # The same run in either precision lands on nearly the same curve.
+        assert min(reports["float32"].val_nmse) == pytest.approx(
+            min(reports["float64"].val_nmse), rel=1e-3
+        )
+
+    def test_two_trainings_are_bit_equal(self):
+        hyper = toy_hyper(max_epochs=4, compute_dtype="float32")
+        runs = [
+            train(toy_dataset(70, seed=58), toy_dataset(20, seed=59), hyper,
+                  np.random.default_rng(60))
+            for _ in range(2)
+        ]
+        assert runs[0][0].flat.tobytes() == runs[1][0].flat.tobytes()
+        assert runs[0][2] == runs[1][2]
+
+    def test_a_step_allocates_no_batch_sized_float64_array(self, monkeypatch):
+        # Batches of 2048 rows of width 64 + 64: a float64 copy of one batch's
+        # features or targets takes 1 MB, while the net (hidden width 8) and
+        # its Adam state take about 10 KB.  The heap peak from the entry of
+        # the second forward call to that of the third spans one whole step:
+        # forward, loss, backward, Adam, and gathering and normalizing the
+        # next batch.
+        batch = 2048
+        train_ds = toy_dataset(4 * batch, width_in=64, width_out=64, seed=77)
+        val_ds = toy_dataset(50, width_in=64, width_out=64, seed=78)
+        hyper = toy_hyper(hidden_width=8, batch_size=batch, max_epochs=1,
+                          compute_dtype="float32")
+        float64_batch = 8 * batch * 64
+        marks = []
+
+        def sampled_forward(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            marks.append((current, peak))
+            if len(marks) == 2:
+                tracemalloc.reset_peak()
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(mlp_estimator, "forward", sampled_forward)
+        tracemalloc.start()
+        try:
+            train(train_ds, val_ds, hyper, np.random.default_rng(79))
+        finally:
+            tracemalloc.stop()
+        step_peak = marks[2][1] - marks[1][0]
+        assert step_peak < float64_batch // 4, (
+            f"one float32 step peaked {step_peak} bytes above its start; a float64 "
+            f"batch is {float64_batch}"
+        )
+
+
 class TestPredict:
     def passthrough_params(self, k):
         # ReLU identity trick: x = relu(x) - relu(-x) reconstructed at the
