@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from faslab.config import (
+    PROFILES,
     ExperimentConfig,
     canonical_json,
     config_fingerprint,
@@ -165,17 +166,15 @@ class TestStrictOverlay:
         assert "num_ports" in capsys.readouterr().err
 
 
-PROFILE_AND_GOLDEN_CONFIGS = {
-    "desk": desk_profile,
-    "paper": paper_profile,
-    **{
-        name: (lambda overrides=overrides: golden_config(Path("golden"), **overrides))
-        for name, overrides in GOLDEN_CONFIGS.items()
-        if name != "sequential_float32"
-    },
-}
+def pinned_config(name):
+    """A profile, or a golden config of tests/test_golden.py."""
+    if name in PROFILES:
+        return PROFILES[name]()
+    return golden_config(Path("golden"), **GOLDEN_CONFIGS[name])
 
-# dataset_fingerprint(cfg, snr).hex() per SNR point, and for the mixed mode.
+
+# dataset_fingerprint(cfg, snr).hex() of the profiles and of the three float64
+# golden configs, per SNR point and for the mixed mode.
 PINNED_FINGERPRINTS = {
     "desk": {
         -10.0: "33366b2a015d2ac5c72faf966962ad7e94539a700e32715607c1f98d016f6f5d",
@@ -242,7 +241,7 @@ class TestConfigSerialization:
     def test_dataset_fingerprints_pinned(self, name):
         # Recorded before compute_dtype existed: a field added after v1 must
         # move no dataset fingerprint, at its default or at any other value.
-        cfg = PROFILE_AND_GOLDEN_CONFIGS[name]()
+        cfg = pinned_config(name)
         pins = PINNED_FINGERPRINTS[name]
         assert set(pins) == {*cfg.snr_db_list, "mixed"}
         for dtype in ("float64", "float32"):

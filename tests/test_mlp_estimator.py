@@ -718,29 +718,15 @@ class TestFloat32:
         assert params.flat.dtype == np.float64
         assert np.array_equal(params.flat, start.flat.astype(np.float32).astype(np.float64))
 
-    def test_returns_float64_params_that_are_float32_values(self):
+    def test_reaches_the_float64_validation_nmse(self):
         train_ds, val_ds = toy_dataset(400, seed=4), toy_dataset(100, seed=5)
-        reports = {}
+        best = {}
         for dtype in ("float64", "float32"):
-            params, normalizers, reports[dtype] = train(
+            _, _, report = train(
                 train_ds, val_ds, toy_hyper(compute_dtype=dtype), np.random.default_rng(6)
             )
-        assert params.flat.dtype == np.float64
-        assert np.array_equal(params.flat.astype(np.float32).astype(np.float64), params.flat)
-        # The same run in either precision lands on nearly the same curve.
-        assert min(reports["float32"].val_nmse) == pytest.approx(
-            min(reports["float64"].val_nmse), rel=1e-3
-        )
-
-    def test_two_trainings_are_bit_equal(self):
-        hyper = toy_hyper(max_epochs=4, compute_dtype="float32")
-        runs = [
-            train(toy_dataset(70, seed=58), toy_dataset(20, seed=59), hyper,
-                  np.random.default_rng(60))
-            for _ in range(2)
-        ]
-        assert runs[0][0].flat.tobytes() == runs[1][0].flat.tobytes()
-        assert runs[0][2] == runs[1][2]
+            best[dtype] = min(report.val_nmse)
+        assert best["float32"] == pytest.approx(best["float64"], rel=1e-3)
 
     def test_a_step_allocates_no_batch_sized_float64_array(self, monkeypatch):
         # Batches of 2048 rows of width 64 + 64: a float64 copy of one batch's
