@@ -128,10 +128,6 @@ class RayDraws:
         c, r = cfg.num_clusters, cfg.rays_per_cluster
         return cls(cfg, np.empty((*shape, c + c * r)), np.empty((*shape, 2, c, r)))
 
-    def head(self, count: int) -> "RayDraws":
-        """Views of the first ``count`` rows."""
-        return RayDraws(self.cfg, self.uniforms[:count], self.normals[:count])
-
     def draw_angles(self, rng: np.random.Generator, row=()) -> None:
         """Draw the centers, then the offsets, of channel ``row`` from ``rng``
         in one call; :meth:`angles` maps them to their ranges."""

@@ -66,6 +66,14 @@ def _coerce(name: str, default, value):
     return kind(value)
 
 
+def snr_label(snr_db) -> str:
+    """The SNR part of an artifact's file name: the SNR at one decimal, or
+    ``snr_mixed`` for the list of the mixed mode."""
+    if isinstance(snr_db, (list, tuple)):
+        return "snr_mixed"
+    return f"snr{float(snr_db):+.1f}dB"
+
+
 def _finite_noise_variance(snr_db: float) -> bool:
     try:
         return math.isfinite(noise_variance_for_snr(snr_db))
@@ -137,6 +145,18 @@ class ExperimentConfig:
             "snr_db_list",
             "an SNR so low that its noise variance 10^(-SNR/10) overflows",
         )
+        if not self.mixed_snr:
+            # Each point writes its own dataset, model and curve files.
+            seen = {}
+            for snr in self.snr_db_list:
+                label = snr_label(snr)
+                check(
+                    label not in seen,
+                    "snr_db_list",
+                    f"{seen.get(label)!r} and {snr!r} would share the artifact "
+                    f"name {label} (one decimal)",
+                )
+                seen[label] = snr
         check(
             self.schedule_kind in SCHEDULE_KINDS,
             "schedule_kind",

@@ -8,10 +8,13 @@ normalization-agnostic.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import operator
 import os
 import struct
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -58,6 +61,13 @@ _MASK32 = 0xFFFFFFFF
 # a time because of its large temporaries; blocks 2-4x larger than this one
 # measured no faster.
 _SYNTH_BLOCK = 20_480
+# Threads that synthesize blocks at most: draw_samples runs one per CPU the
+# process may use, up to this cap.  A block's time is mostly numpy's sin and
+# cos, which release the GIL, so on two CPUs paper generation ran 1.43x the
+# rows per second.  Opening and drawing a row's stream holds the GIL (19 of
+# ~225 us per paper row, 9 of ~62 per desk row), which bounds what more
+# threads can add.
+_SYNTH_WORKERS = 4
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -222,6 +232,16 @@ def snr_stream_key(snr_db) -> int:
     return int(round(value * 1000.0)) & 0xFFFFFFFF
 
 
+def _synth_workers() -> int:
+    """Threads for :func:`draw_samples`: the CPUs in this process's affinity
+    mask, capped at ``_SYNTH_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _SYNTH_WORKERS)
+
+
 def draw_samples(
     cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
 ):
@@ -239,6 +259,15 @@ def draw_samples(
     draws its SNR uniformly from the list (that choice comes first in the
     per-sample stream, then the channel, then the noise; a noise variance of
     0 draws no noise).
+
+    Blocks are synthesized on a thread pool of up to :func:`_synth_workers`
+    threads, each with two blocks or more to do, at most two blocks per
+    thread ahead of the consumer, and yielded in row order; with one CPU, or
+    fewer than four blocks, they are synthesized in the calling thread.
+    Block boundaries and arithmetic do not depend on the thread count, so
+    neither does any byte.  The pool is shut down when the generator
+    finishes or is closed; an exception raised in a block reaches the
+    consumer at that block.
     """
     if n > 2**32:
         raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
@@ -249,23 +278,43 @@ def draw_samples(
     variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
     states = _stream_states(master_seed, snr_stream_key(snr_db), np.arange(n, dtype=np.uint32))
     rows = max(1, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
-    rays = RayDraws.empty(scattering, (rows,))
-    # Zeroed so that the rows of a noiseless sample hold finite values.
-    normals = np.zeros((rows, 2, flat.size))
-    sigma2 = np.empty(rows)
-    for lo in range(0, n, rows):
+
+    def synthesize(lo: int):
         count = min(rows, n - lo)
+        rays = RayDraws.empty(scattering, (count,))
+        # Zeroed so that the rows of a noiseless sample hold finite values.
+        normals = np.zeros((count, 2, flat.size))
+        sigma2 = np.empty(count)
         for j in range(count):
             rng = _stream(states[lo + j])
             sigma2[j] = variances[rng.integers(len(variances))] if mixed else variances[0]
             rays.draw(rng, j)
             if sigma2[j] > 0:
                 rng.standard_normal(out=normals[j])
-        block = rays.head(count)
-        h = channel_from_rays(block.angles(), block.gains(), geometry)
+        h = channel_from_rays(rays.angles(), rays.gains(), geometry)
         y = h[:, flat]
-        add_noise(y, normals[:count], sigma2[:count])
-        yield lo, h, y
+        add_noise(y, normals, sigma2)
+        return lo, h, y
+
+    starts = range(0, n, rows)
+    # A thread pays for its start from two blocks on: two desk or paper
+    # blocks ran 3-12% slower on two threads than in one, four broke even.
+    workers = min(_synth_workers(), len(starts) // 2)
+    if workers <= 1:
+        yield from map(synthesize, starts)
+        return
+    starts = iter(starts)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="faslab-synth")
+    try:
+        pending = deque(pool.submit(synthesize, lo) for lo in itertools.islice(starts, 2 * workers))
+        while pending:
+            block = pending.popleft().result()
+            lo = next(starts, None)
+            if lo is not None:
+                pending.append(pool.submit(synthesize, lo))
+            yield block
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def generate_dataset(

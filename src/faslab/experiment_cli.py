@@ -24,6 +24,7 @@ from .config import (
     ExperimentConfig,
     canonical_json,
     dataset_fingerprint,
+    snr_label,
 )
 from .dataset_pipeline import (
     draw_samples,
@@ -55,12 +56,6 @@ ESTIMATORS = ("mlp", "omp", "ls_observed")
 def _fmt(x: float) -> str:
     """CSV number format: 6 significant digits, '.' decimal separator."""
     return f"{float(x):.6g}"
-
-
-def snr_label(snr_db) -> str:
-    if isinstance(snr_db, (list, tuple)):
-        return "snr_mixed"
-    return f"snr{float(snr_db):+.1f}dB"
 
 
 def dataset_path(cfg: ExperimentConfig, snr_db) -> Path:

@@ -521,6 +521,29 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith("error: snr_db_list: ")
         assert not (tmp_path / "d").exists()
 
+    def test_snr_points_sharing_an_artifact_name_exit_nonzero(self, tmp_path, capsys):
+        # Both label as snr+0.0dB: the second dataset would overwrite the first.
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "snr_db_list": [0.0, 0.04], "dataset_dir": str(tmp_path / "d"),
+        }))
+        rc = main(["generate", "--config", str(cfg_file), "--profile", "desk"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr_db_list: 0.0 and 0.04 ")
+        assert "snr+0.0dB" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_snr_points_sharing_an_artifact_name_are_fine_when_mixed(self):
+        cfg = desk_profile()
+        cfg.snr_db_list, cfg.mixed_snr = [0.0, 0.04, 0.0], True
+        cfg.validate()  # one dataset and one model, snr_mixed
+        cfg.mixed_snr = False
+        with pytest.raises(ConfigError, match=r"snr_db_list: 0\.0 and 0\.04 "):
+            cfg.validate()
+        cfg.snr_db_list = [0.0, -0.04, 0.05]  # snr+0.0dB, snr-0.0dB, snr+0.1dB
+        cfg.validate()
+
     def test_training_divergence_exits_nonzero(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({

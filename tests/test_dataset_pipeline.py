@@ -1,6 +1,9 @@
 """Tests for packing, dataset generation, normalization, and storage."""
 
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -162,6 +165,128 @@ class TestDrawSamples:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             next(samples)
 
+
+def synth_workers(monkeypatch, workers):
+    """Make draw_samples use ``workers`` threads on any machine: ``workers``
+    CPUs in the affinity mask and the cap raised to match."""
+    cpus = set(range(workers))
+    monkeypatch.setattr(dataset_pipeline.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(dataset_pipeline, "_SYNTH_WORKERS", workers)
+    assert dataset_pipeline._synth_workers() == workers
+
+
+def record_threads(monkeypatch) -> list:
+    """The list the threads that synthesize blocks append themselves to, one
+    entry per block."""
+    threads = []
+    channel_from_rays = dataset_pipeline.channel_from_rays
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return channel_from_rays(*args)
+
+    monkeypatch.setattr(dataset_pipeline, "channel_from_rays", recording)
+    return threads
+
+
+class TestSynthesisPool:
+    """draw_samples' blocks on a thread pool: the bytes, the order, and
+    what the pool leaves behind."""
+
+    def test_bytes_do_not_depend_on_the_worker_count(self, monkeypatch):
+        cfg = desk_profile()
+        cfg.schedule_kind, cfg.num_slots = "random", 24  # 96 samples, 64 ports
+        snr_db = [0.0, 4000.0]  # mixed, with a noiseless point
+        n = 101  # 16 rows per block: 6 full blocks and one of 5 rows
+        threads = record_threads(monkeypatch)
+        runs = {}
+        interval = sys.getswitchinterval()
+        for workers in (1, 3):
+            synth_workers(monkeypatch, workers)
+            threads.clear()
+            sys.setswitchinterval(1e-5)  # threads interleave as often as they can
+            try:
+                runs[workers] = list(
+                    dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), snr_db, 5, n)
+                )
+            finally:
+                sys.setswitchinterval(interval)
+            pooled = threading.current_thread() not in threads
+            assert pooled == (workers > 1)
+        assert [lo for lo, _, _ in runs[3]] == list(range(0, n, 16))
+        assert len(runs[1]) == len(runs[3])
+        for (lo1, h1, y1), (lo3, h3, y3) in zip(runs[1], runs[3]):
+            assert lo1 == lo3
+            assert np.array_equal(h1, h3) and np.array_equal(y1, y3)
+
+    def test_fewer_than_four_blocks_run_in_the_calling_thread(self, monkeypatch):
+        synth_workers(monkeypatch, 3)
+        threads = record_threads(monkeypatch)
+        cfg = desk_profile()  # 16 rows per block
+        for n, pooled in ((1, False), (48, False), (49, True)):
+            threads.clear()
+            list(dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, n))
+            assert (threading.current_thread() not in threads) == pooled
+
+    def test_closing_after_the_first_block_joins_the_pool(self, monkeypatch):
+        synth_workers(monkeypatch, 3)
+        cfg = desk_profile()
+        before = threading.active_count()
+        samples = dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, 400)
+        lo, h, _ = next(samples)
+        assert lo == 0 and len(h) == 16
+        assert threading.active_count() > before
+        samples.close()
+        assert threading.active_count() == before
+
+    def test_an_exception_in_a_block_reaches_the_consumer(self, monkeypatch):
+        synth_workers(monkeypatch, 3)
+
+        class Boom(RuntimeError):
+            pass
+
+        calls = []
+        lock = threading.Lock()
+        channel_from_rays = dataset_pipeline.channel_from_rays
+
+        def third_call_raises(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise Boom("third block")
+            return channel_from_rays(*args)
+
+        monkeypatch.setattr(dataset_pipeline, "channel_from_rays", third_call_raises)
+        cfg = desk_profile()
+        before = threading.active_count()
+        with pytest.raises(Boom, match="third block"):
+            for _ in dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, 400):
+                pass
+        assert threading.active_count() == before
+
+    def test_blocks_in_flight_bound_the_heap_not_n(self, monkeypatch):
+        synth_workers(monkeypatch, 3)
+        cfg = desk_profile()
+        schedule = cfg.build_schedule()
+
+        def peak(blocks):
+            tracemalloc.start()
+            try:
+                samples = dataset_pipeline.draw_samples(cfg, schedule, 0.0, 3, 16 * blocks)
+                next(samples)
+                # A slow consumer: without the in-flight window the threads
+                # would run ahead and fill the heap with finished blocks.
+                time.sleep(0.3)
+                for _ in samples:
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(16), peak(640)
+        # Holding all 640 blocks' (h, y) takes 20 MB; the stream seeds grow
+        # by 32 bytes a row (0.3 MB).
+        assert large - small < 4 * 2**20
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 EDGE_KEYS = [
