@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ SCHEDULE_KINDS = ("sequential", "random")
 COMPUTE_DTYPES = ("float64", "float32")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seeds:
     """Independent master seeds for each randomness consumer."""
 
@@ -40,11 +40,6 @@ class Seeds:
     init: int = 303
     shuffle: int = 404
     test: int = 505
-
-    def override(self, name: str, value: int) -> None:
-        if not hasattr(self, name):
-            raise ConfigError(f"unknown seed name '{name}'")
-        setattr(self, name, _coerce(f"seeds.{name}", 0, value))
 
 
 def _coerce(name: str, default, value):
@@ -81,8 +76,13 @@ def _finite_noise_variance(snr_db: float) -> bool:
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's parameters; immutable, and valid once built.
+
+    Derive a variant with ``dataclasses.replace``, which checks it again.
+    """
+
     num_ports: int = 256
     num_antennas: int = 4
     num_slots: int = 64
@@ -112,6 +112,9 @@ class ExperimentConfig:
     dataset_dir: str = "artifacts/datasets"
     model_dir: str = "artifacts/models"
     results_dir: str = "artifacts/results"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # -- validation -----------------------------------------------------
 
@@ -145,18 +148,17 @@ class ExperimentConfig:
             "snr_db_list",
             "an SNR so low that its noise variance 10^(-SNR/10) overflows",
         )
-        if not self.mixed_snr:
-            # Each point writes its own dataset, model and curve files.
-            seen = {}
-            for snr in self.snr_db_list:
-                label = snr_label(snr)
-                check(
-                    label not in seen,
-                    "snr_db_list",
-                    f"{seen.get(label)!r} and {snr!r} would share the artifact "
-                    f"name {label} (one decimal)",
-                )
-                seen[label] = snr
+        # Each point writes its own dataset, model and curve files.
+        seen = {}
+        for point in self.snr_points():
+            label = snr_label(point)
+            check(
+                label not in seen,
+                "snr_db_list",
+                f"{seen.get(label)!r} and {point!r} would share the artifact "
+                f"name {label} (one decimal)",
+            )
+            seen[label] = point
         check(
             self.schedule_kind in SCHEDULE_KINDS,
             "schedule_kind",
@@ -180,6 +182,11 @@ class ExperimentConfig:
             "compute_dtype",
             f"must be one of {COMPUTE_DTYPES}",
         )
+
+    def snr_points(self) -> list:
+        """The points that each get a dataset, a model and a curve: every SNR,
+        or in the mixed mode the whole list once."""
+        return [list(self.snr_db_list)] if self.mixed_snr else list(self.snr_db_list)
 
     # -- derived physical objects ---------------------------------------
 
@@ -219,24 +226,28 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{source}: expected a JSON object, got {_json_type(data)}"
             )
-        cfg = replace(base) if base is not None else cls()
-        cfg.seeds = replace(cfg.seeds)
-        known = set(cfg.to_dict())
+        base = base if base is not None else cls()
+        known = {f.name for f in fields(cls)}
+        changes = {}
         for key, value in data.items():
             if key not in known:
                 raise ConfigError(f"unknown config key '{key}'")
             if key == "seeds":
                 if not isinstance(value, dict):
                     raise ConfigError(f"seeds: expected an object, got {value!r}")
-                for seed_name, seed_value in value.items():
-                    cfg.seeds.override(seed_name, seed_value)
+                unknown = value.keys() - {f.name for f in fields(Seeds)}
+                if unknown:
+                    raise ConfigError(f"unknown seed name '{min(unknown)}'")
+                changes[key] = replace(base.seeds, **{
+                    name: _coerce(f"seeds.{name}", 0, v) for name, v in value.items()
+                })
             elif key == "snr_db_list":
                 if not isinstance(value, list):
                     raise ConfigError(f"snr_db_list: expected a list, got {value!r}")
-                cfg.snr_db_list = [_coerce("snr_db_list", 0.0, v) for v in value]
+                changes[key] = [_coerce("snr_db_list", 0.0, v) for v in value]
             else:
-                setattr(cfg, key, _coerce(key, getattr(cfg, key), value))
-        return cfg
+                changes[key] = _coerce(key, getattr(base, key), value)
+        return replace(base, **changes)
 
     @classmethod
     def from_json(
@@ -306,7 +317,7 @@ def paper_profile() -> ExperimentConfig:
     It trains in float32, about twice as fast as float64 at these shapes;
     the model file and inference stay float64.
     """
-    return replace(ExperimentConfig(), compute_dtype="float32")
+    return ExperimentConfig(compute_dtype="float32")
 
 
 def desk_profile() -> ExperimentConfig:
@@ -316,8 +327,7 @@ def desk_profile() -> ExperimentConfig:
     the learning rate and batch size are rescaled so training converges,
     plateaus, and early-stops within the shortened epoch budget.
     """
-    return replace(
-        ExperimentConfig(),
+    return ExperimentConfig(
         num_ports=64,
         num_slots=16,
         n_train_samples=8000,

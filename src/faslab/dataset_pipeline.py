@@ -12,7 +12,6 @@ import itertools
 import operator
 import os
 import struct
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -326,7 +325,6 @@ def generate_dataset(
     Output bytes are fully determined by (cfg, n_samples, snr_db,
     master_seed).
     """
-    cfg.validate()
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     pm = cfg.num_slots * cfg.num_antennas
@@ -533,11 +531,10 @@ def save_dataset(ds: Dataset, path) -> None:
     write_artifact(path, (header, ds.config_fingerprint, digest.digest(), feat, tgt))
 
 
-def load_dataset(path, expected_fingerprint: bytes | None = None) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Inverse of :func:`save_dataset` with integrity checks.
 
-    A fingerprint differing from ``expected_fingerprint`` warns (the file is
-    still usable); a header whose widths disagree with its dimensions raises
+    A header whose widths disagree with its dimensions raises
     FileFormatError naming the field; corrupt or truncated payloads raise
     ChecksumError.  The features and targets are writable views over one
     buffer holding the file, not copies.
@@ -565,10 +562,4 @@ def load_dataset(path, expected_fingerprint: bytes | None = None) -> Dataset:
     n_feat = n_samples * feat_w
     features = np.frombuffer(payload, dtype="<f4", count=n_feat).reshape(n_samples, feat_w)
     targets = np.frombuffer(payload, dtype="<f4", offset=4 * n_feat).reshape(n_samples, tgt_w)
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        warnings.warn(
-            f"{path}: dataset fingerprint does not match the requesting "
-            "configuration; proceeding anyway",
-            stacklevel=2,
-        )
     return Dataset(features, targets, fingerprint, n_ports, n_ant, n_slots)

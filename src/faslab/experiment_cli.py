@@ -85,9 +85,7 @@ def _fingerprint_int(fingerprint: bytes) -> int:
 
 def cmd_generate(cfg: ExperimentConfig, out_dir=None) -> list[Path]:
     """Write one dataset file per SNR point (or a single mixed file)."""
-    cfg.validate()
-    snr_points = [list(cfg.snr_db_list)] if cfg.mixed_snr else list(cfg.snr_db_list)
-    return [cmd_generate_single(cfg, snr, out_dir) for snr in snr_points]
+    return [cmd_generate_single(cfg, snr, out_dir) for snr in cfg.snr_points()]
 
 
 def cmd_generate_single(cfg: ExperimentConfig, snr_db, out_dir=None) -> Path:
@@ -115,14 +113,10 @@ def cmd_train(
     from the config seeds combined with the dataset's fingerprint, so each
     SNR point trains reproducibly and independently.
     """
-    cfg.validate()
     dataset_file = Path(dataset_file)
-    expected = {
-        bytes(dataset_fingerprint(cfg, snr)) for snr in cfg.snr_db_list
-    }
-    expected.add(bytes(dataset_fingerprint(cfg, list(cfg.snr_db_list))))
+    expected = {dataset_fingerprint(cfg, p) for p in cfg.snr_points()}
     ds = load_dataset(dataset_file)
-    if bytes(ds.config_fingerprint) not in expected:
+    if ds.config_fingerprint not in expected:
         warnings.warn(
             f"{dataset_file}: fingerprint does not match any SNR point of "
             "this configuration; proceeding anyway",
@@ -171,7 +165,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
     Expects per-SNR models from ``generate`` + ``train``; with
     ``build_missing`` they are produced on the fly.
     """
-    cfg.validate()
     geometry = cfg.geometry()
     schedule = cfg.build_schedule()
     dictionary = build_dictionary(
@@ -283,10 +276,7 @@ def load_config(
             Path(config_path).read_text(encoding="utf-8"), base=cfg,
             source=str(config_path),
         )
-    for name, value in (seed_overrides or {}).items():
-        cfg.seeds.override(name, value)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig.from_dict({"seeds": dict(seed_overrides or {})}, base=cfg)
 
 
 def _seed_override(arg: str) -> tuple[str, int]:

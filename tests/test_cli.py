@@ -53,9 +53,7 @@ def micro_config(tmp_path, **overrides):
         model_dir=str(tmp_path / "models"),
         results_dir=str(tmp_path / "results"),
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return replace(cfg, **overrides)
 
 
 class TestConfigDefaults:
@@ -90,18 +88,18 @@ class TestConfigDefaults:
 
 class TestConfigValidation:
     def test_bad_rho_names_field(self):
-        cfg = ExperimentConfig(rho=1.2)
         with pytest.raises(ConfigError, match="rho"):
+            cfg = ExperimentConfig(rho=1.2)
             cfg.validate()
 
     def test_antennas_exceeding_ports_named(self):
-        cfg = ExperimentConfig(num_ports=4, num_antennas=8)
         with pytest.raises(ConfigError, match="num_antennas"):
+            cfg = ExperimentConfig(num_ports=4, num_antennas=8)
             cfg.validate()
 
     def test_bad_schedule_kind_named(self):
-        cfg = ExperimentConfig(schedule_kind="zigzag")
         with pytest.raises(ConfigError, match="schedule_kind"):
+            cfg = ExperimentConfig(schedule_kind="zigzag")
             cfg.validate()
 
     @pytest.mark.parametrize("value", ["float16", 32])
@@ -213,8 +211,7 @@ PINNED_FINGERPRINTS = {
 class TestConfigSerialization:
     def test_canonical_round_trip(self):
         cfg = desk_profile()
-        cfg.seeds.channel = 777
-        cfg.snr_db_list = [-3.5, 2.25]
+        cfg = replace(cfg, seeds=replace(cfg.seeds, channel=777), snr_db_list=[-3.5, 2.25])
         again = ExperimentConfig.from_json(canonical_json(cfg))
         assert again == cfg
         assert canonical_json(again) == canonical_json(cfg)
@@ -222,7 +219,7 @@ class TestConfigSerialization:
     def test_fingerprint_sensitivity(self):
         a, b = paper_profile(), paper_profile()
         assert config_fingerprint(a) == config_fingerprint(b)
-        b.num_ports = 128
+        b = replace(b, num_ports=128)
         assert config_fingerprint(a) != config_fingerprint(b)
 
     def test_dataset_fingerprint_covers_snr(self):
@@ -232,8 +229,7 @@ class TestConfigSerialization:
 
     def test_storage_paths_do_not_affect_fingerprints(self):
         a, b = paper_profile(), paper_profile()
-        b.dataset_dir = "/somewhere/else"
-        b.results_dir = "/another/place"
+        b = replace(b, dataset_dir="/somewhere/else", results_dir="/another/place")
         assert config_fingerprint(a) == config_fingerprint(b)
         assert dataset_fingerprint(a, 0.0) == dataset_fingerprint(b, 0.0)
 
@@ -327,8 +323,7 @@ class TestPipelineCommands:
             dataset_dir=str(tmp_path / "datasets"), model_dir=str(tmp_path / "models"),
             results_dir=str(tmp_path / "results"),
         )
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
+        cfg = replace(cfg, **overrides)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = cmd_sweep(cfg, build_missing=True)
@@ -535,13 +530,12 @@ class TestMainEntry:
         assert not (tmp_path / "d").exists()
 
     def test_snr_points_sharing_an_artifact_name_are_fine_when_mixed(self):
-        cfg = desk_profile()
-        cfg.snr_db_list, cfg.mixed_snr = [0.0, 0.04, 0.0], True
+        cfg = replace(desk_profile(), snr_db_list=[0.0, 0.04, 0.0], mixed_snr=True)
         cfg.validate()  # one dataset and one model, snr_mixed
-        cfg.mixed_snr = False
         with pytest.raises(ConfigError, match=r"snr_db_list: 0\.0 and 0\.04 "):
+            cfg = replace(cfg, mixed_snr=False)
             cfg.validate()
-        cfg.snr_db_list = [0.0, -0.04, 0.05]  # snr+0.0dB, snr-0.0dB, snr+0.1dB
+        cfg = replace(desk_profile(), snr_db_list=[0.0, -0.04, 0.05])  # snr+0.0dB, snr-0.0dB, snr+0.1dB
         cfg.validate()
 
     def test_training_divergence_exits_nonzero(self, tmp_path, capsys):
