@@ -41,12 +41,16 @@ class Seeds:
     shuffle: int = 404
     test: int = 505
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = _coerce(f"seeds.{f.name}", int, getattr(self, f.name))
+            object.__setattr__(self, f.name, value)
 
-def _coerce(name: str, default, value):
-    """``value`` as the type of ``default``, refusing lossy conversions: bool
-    fields take only bools, int fields take integral numbers but no bools,
-    float fields take any real number but no bools, str fields only str."""
-    kind = type(default)
+
+def _coerce(name: str, kind: type, value):
+    """``value`` as a ``kind``, refusing lossy conversions: bool fields take
+    only bools, int fields take integral numbers but no bools, float fields
+    take any real number but no bools, other fields only their own type."""
     is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     if kind is bool:
         ok = isinstance(value, bool)
@@ -58,7 +62,7 @@ def _coerce(name: str, default, value):
         ok = isinstance(value, kind)
     if not ok:
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
-    return kind(value)
+    return kind(value) if kind in (int, float) else value
 
 
 def snr_label(snr_db) -> str:
@@ -67,6 +71,11 @@ def snr_label(snr_db) -> str:
     if isinstance(snr_db, (list, tuple)):
         return "snr_mixed"
     return f"snr{float(snr_db):+.1f}dB"
+
+
+def validation_rows(n: int, rho: float) -> int:
+    """The rows a split of ``n`` rows at ``rho`` holds out for validation."""
+    return int(round(rho * n))
 
 
 def _finite_noise_variance(snr_db: float) -> bool:
@@ -114,6 +123,15 @@ class ExperimentConfig:
     results_dir: str = "artifacts/results"
 
     def __post_init__(self) -> None:
+        # Coerced once, here, so that equal values give one canonical JSON
+        # and one fingerprint however the config was built.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "snr_db_list":
+                value = [_coerce(f.name, float, v) for v in _coerce(f.name, list, value)]
+            else:
+                value = _coerce(f.name, Seeds if f.name == "seeds" else type(f.default), value)
+            object.__setattr__(self, f.name, value)
         self.validate()
 
     # -- validation -----------------------------------------------------
@@ -164,8 +182,20 @@ class ExperimentConfig:
             "schedule_kind",
             f"must be one of {SCHEDULE_KINDS}",
         )
+        if self.schedule_kind == "sequential":
+            try:
+                sequential_schedule(self.num_ports, self.num_antennas, self.num_slots)
+            except ValueError as exc:
+                raise ConfigError(f"num_slots: {exc} (got {self.num_slots!r})") from None
         check(self.n_train_samples >= 2, "n_train_samples", "must be an integer >= 2")
         check(0.0 < self.rho < 1.0, "rho", "must lie strictly between 0 and 1")
+        n_val = validation_rows(self.n_train_samples, self.rho)
+        check(
+            0 < n_val < self.n_train_samples,
+            "rho",
+            f"holds out {n_val} of n_train_samples = {self.n_train_samples} rows "
+            "for validation; training and validation each need a row",
+        )
         check(self.batch_size >= 1, "batch_size", "must be an integer >= 1")
         check(self.learning_rate > 0, "learning_rate", "must be positive")
         check(self.hidden_width >= 1, "hidden_width", "must be an integer >= 1")
@@ -238,15 +268,8 @@ class ExperimentConfig:
                 unknown = value.keys() - {f.name for f in fields(Seeds)}
                 if unknown:
                     raise ConfigError(f"unknown seed name '{min(unknown)}'")
-                changes[key] = replace(base.seeds, **{
-                    name: _coerce(f"seeds.{name}", 0, v) for name, v in value.items()
-                })
-            elif key == "snr_db_list":
-                if not isinstance(value, list):
-                    raise ConfigError(f"snr_db_list: expected a list, got {value!r}")
-                changes[key] = [_coerce("snr_db_list", 0.0, v) for v in value]
-            else:
-                changes[key] = _coerce(key, getattr(base, key), value)
+                value = replace(base.seeds, **value)
+            changes[key] = value
         return replace(base, **changes)
 
     @classmethod

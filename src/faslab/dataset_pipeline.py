@@ -22,7 +22,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .channel_model import RayDraws, channel_from_rays
 from .channel_model import draw_channel  # unused here; faslab_bench/spans.py traces it
-from .config import ExperimentConfig, dataset_fingerprint
+from .config import ExperimentConfig, dataset_fingerprint, validation_rows
 from .errors import ChecksumError, FileFormatError
 from .pilot_system import SwitchSchedule, add_noise, noise_variance_for_snr
 from .pilot_system import observe  # unused here; faslab_bench/spans.py traces it
@@ -357,7 +357,7 @@ def split(ds: Dataset, rho: float, rng: np.random.Generator) -> tuple[Dataset, D
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
     n = ds.n_samples
-    n_val = int(round(rho * n))
+    n_val = validation_rows(n, rho)
     if n_val < 1 or n - n_val < 1:
         raise ValueError(
             f"degenerate split: {n} rows at rho={rho} gives {n_val} validation rows"

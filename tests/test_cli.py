@@ -11,6 +11,7 @@ import pytest
 from faslab.config import (
     PROFILES,
     ExperimentConfig,
+    Seeds,
     canonical_json,
     config_fingerprint,
     dataset_fingerprint,
@@ -117,6 +118,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig.from_dict({"seeds": {"bogus": 1}})
 
+    def test_sequential_schedule_that_cannot_be_built_names_num_slots(self, tmp_path, capsys):
+        # 17 slots of 4 antennas is 68 samples over 64 ports: uneven coverage.
+        with pytest.raises(ConfigError, match=r"num_slots: num_slots\*num_antennas = 68 "):
+            replace(desk_profile(), num_slots=17)
+        replace(desk_profile(), num_slots=17, schedule_kind="random")
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"num_slots": 17}))
+        assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: num_slots: ")
+
+    def test_training_size_leaving_a_split_side_empty_names_rho(self, tmp_path, capsys):
+        # round(0.05 * 2) = 0 validation rows; round(0.9 * 2) = 2 leaves no training row.
+        with pytest.raises(ConfigError, match="rho: holds out 0 of n_train_samples = 2 "):
+            replace(desk_profile(), n_train_samples=2)
+        with pytest.raises(ConfigError, match="rho: holds out 2 of n_train_samples = 2 "):
+            replace(desk_profile(), n_train_samples=2, rho=0.9)
+        assert replace(desk_profile(), n_train_samples=30).n_train_samples == 30  # 2 held out
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_train_samples": 2}))
+        assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith("error: rho: ")
+
 
 class TestStrictOverlay:
     """The overlay refuses values that would change meaning on conversion."""
@@ -156,6 +179,35 @@ class TestStrictOverlay:
         assert cfg.mixed_snr is False
         assert cfg.snr_db_list == [-5.0, 2.5]
         assert cfg.seeds.test == 9 and type(cfg.seeds.test) is int
+
+    def test_constructor_coerces_like_the_overlay(self):
+        # Equal values give one canonical JSON and one fingerprint, whichever
+        # way the config was built.
+        direct = replace(
+            desk_profile(), snr_db_list=[0, 10], learning_rate=1, seeds=Seeds(test=9.0)
+        )
+        overlay = ExperimentConfig.from_dict(
+            {"snr_db_list": [0, 10], "learning_rate": 1, "seeds": {"test": 9}},
+            base=desk_profile(),
+        )
+        assert canonical_json(direct) == canonical_json(overlay)
+        for point in direct.snr_points():
+            assert dataset_fingerprint(direct, point) == dataset_fingerprint(overlay, point)
+        assert type(direct.learning_rate) is float and type(direct.seeds.test) is int
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: replace(desk_profile(), hidden_width=True), "hidden_width"),
+            (lambda: replace(desk_profile(), snr_db_list=(0.0, 10.0)), "snr_db_list"),
+            (lambda: replace(desk_profile(), seeds={"channel": 1}), "seeds"),
+            (lambda: Seeds(channel=True), "seeds.channel"),
+        ],
+        ids=["hidden_width", "snr_db_list", "seeds", "seeds.channel"],
+    )
+    def test_constructor_refuses_lossy_value_naming_field(self, build, name):
+        with pytest.raises(ConfigError, match=f"^{name}: expected "):
+            build()
 
     def test_cli_reports_rejected_field(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
