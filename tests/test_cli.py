@@ -1,15 +1,20 @@
 """Tests for the configuration surface and the command-line harness."""
 
 import json
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from faslab.config import (
+    COMPUTE_DTYPES,
     PROFILES,
+    SCHEDULE_KINDS,
     ExperimentConfig,
     Seeds,
     canonical_json,
@@ -214,6 +219,101 @@ class TestStrictOverlay:
         cfg_file.write_text(json.dumps({"num_ports": 64.9}))
         assert main(["show-config", "--config", str(cfg_file)]) == 1
         assert "num_ports" in capsys.readouterr().err
+
+
+# Small integers: validate() builds the sequential schedule, whose size is
+# num_slots * num_antennas.
+INTS = st.integers(-4, 300)
+REALS = st.floats()  # nan and the infinities included
+NON_INTEGRAL = INTS.map(lambda n: n + 0.5) | st.sampled_from([np.nan, np.inf, -np.inf])
+TEXT = st.text("ab7.", max_size=3)  # a fixed alphabet spares hypothesis its Unicode tables
+SEED_NAMES = [f.name for f in fields(Seeds)]
+
+
+def overlay_values(f):
+    """(well-typed, ill-typed) strategies for the overlay value of field ``f``."""
+    if f.name == "seeds":
+        seeds = lambda values: st.dictionaries(st.sampled_from(SEED_NAMES), values, min_size=1, max_size=3)
+        good = st.integers(0, 2**32)
+        return (
+            seeds(good | good.map(float)),
+            seeds(st.booleans() | NON_INTEGRAL | TEXT) | st.none() | st.just([1]),
+        )
+    if f.name == "snr_db_list":
+        return (
+            st.lists(REALS | INTS, max_size=4),
+            REALS | st.none() | st.lists(st.booleans() | TEXT, min_size=1, max_size=3),
+        )
+    others = st.none() | st.just([1]) | st.just({})
+    kind = type(f.default)
+    if kind is bool:
+        return st.booleans(), others | INTS | TEXT
+    if kind is int:
+        return INTS | INTS.map(float), others | st.booleans() | NON_INTEGRAL | TEXT
+    if kind is float:
+        return REALS | INTS, others | st.booleans() | TEXT
+    return st.sampled_from(SCHEDULE_KINDS + COMPUTE_DTYPES) | TEXT, others | INTS | REALS
+
+
+OVERLAY_VALUES = {f.name: overlay_values(f) for f in fields(ExperimentConfig)}
+
+
+@st.composite
+def overlays(draw, ill_typed=True):
+    """A config overlay of up to four known keys, and the keys whose value is
+    ill-typed."""
+    names = draw(st.lists(st.sampled_from(sorted(OVERLAY_VALUES)), unique=True, max_size=4))
+    overlay, bad = {}, set()
+    for name in names:
+        good, ill = OVERLAY_VALUES[name]
+        if ill_typed and draw(st.booleans()):
+            bad.add(name)
+        overlay[name] = draw(ill if name in bad else good)
+    return overlay, bad
+
+
+class TestOverlayProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(overlays())
+    def test_overlay_builds_what_replace_builds_or_names_a_key(self, drawn):
+        overlay, ill_typed = drawn
+        base = desk_profile()
+        try:
+            got = canonical_json(ExperimentConfig.from_dict(overlay, base=base))
+        except ConfigError as exc:
+            got = exc
+        if ill_typed:
+            assert isinstance(got, ConfigError), overlay
+            # "seeds.channel: expected int, ..." names the seeds key.
+            assert str(got).split(":")[0].split(".")[0] in ill_typed, got
+            return
+        kwargs = dict(overlay)
+        if "seeds" in kwargs:
+            kwargs["seeds"] = replace(base.seeds, **kwargs["seeds"])
+        try:
+            want = canonical_json(replace(base, **kwargs))
+        except ConfigError as exc:
+            # A rule over several fields names each of them.
+            assert str(got) == str(exc)
+            assert any(re.search(rf"\b{key}\b", str(exc)) for key in overlay), exc
+        else:
+            assert got == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(overlays(ill_typed=False))
+    def test_canonical_json_round_trips(self, drawn):
+        try:
+            cfg = ExperimentConfig.from_dict(drawn[0], base=desk_profile())
+        except ConfigError:
+            reject()
+        assert ExperimentConfig.from_json(canonical_json(cfg)) == cfg
+
+    def test_no_field_can_be_assigned(self):
+        cfg = desk_profile()
+        for target in (cfg, cfg.seeds):
+            for f in fields(target):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(target, f.name, getattr(target, f.name))
 
 
 def pinned_config(name):
