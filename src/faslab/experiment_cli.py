@@ -276,7 +276,7 @@ def load_config(
             Path(config_path).read_text(encoding="utf-8"), base=cfg,
             source=str(config_path),
         )
-    return ExperimentConfig.from_dict({"seeds": dict(seed_overrides or {})}, base=cfg)
+    return ExperimentConfig.from_dict({"seeds": seed_overrides or {}}, base=cfg)
 
 
 def _seed_override(arg: str) -> tuple[str, int]:

@@ -233,7 +233,9 @@ SEED_NAMES = [f.name for f in fields(Seeds)]
 def overlay_values(f):
     """(well-typed, ill-typed) strategies for the overlay value of field ``f``."""
     if f.name == "seeds":
-        seeds = lambda values: st.dictionaries(st.sampled_from(SEED_NAMES), values, min_size=1, max_size=3)
+        def seeds(values):
+            return st.dictionaries(st.sampled_from(SEED_NAMES), values, min_size=1, max_size=3)
+
         good = st.integers(0, 2**32)
         return (
             seeds(good | good.map(float)),
