@@ -43,7 +43,11 @@ class Seeds:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = _coerce(f"seeds.{f.name}", int, getattr(self, f.name))
+            name = f"seeds.{f.name}"
+            value = _coerce(name, int, getattr(self, f.name))
+            if value < 0:
+                # Stream seeds are non-negative entropy words.
+                raise ConfigError(f"{name}: must be an integer >= 0 (got {value!r})")
             object.__setattr__(self, f.name, value)
 
 
@@ -150,11 +154,23 @@ class ExperimentConfig:
             f"must not exceed num_ports = {self.num_ports}",
         )
         check(self.num_slots >= 1, "num_slots", "must be an integer >= 1")
-        check(self.aperture_wavelengths > 0, "aperture_wavelengths", "must be positive")
-        check(self.carrier_frequency_hz > 0, "carrier_frequency_hz", "must be positive")
+        check(
+            0 < self.aperture_wavelengths < math.inf,
+            "aperture_wavelengths",
+            "must be positive and finite",
+        )
+        check(
+            0 < self.carrier_frequency_hz < math.inf,
+            "carrier_frequency_hz",
+            "must be positive and finite",
+        )
         check(self.num_clusters >= 1, "num_clusters", "must be an integer >= 1")
         check(self.rays_per_cluster >= 1, "rays_per_cluster", "must be an integer >= 1")
-        check(self.max_angle_spread_deg >= 0, "max_angle_spread_deg", "must be >= 0")
+        check(
+            0 <= self.max_angle_spread_deg < math.inf,
+            "max_angle_spread_deg",
+            "must be finite and >= 0",
+        )
         check(
             len(self.snr_db_list) > 0
             and all(math.isfinite(s) for s in self.snr_db_list),
@@ -197,7 +213,11 @@ class ExperimentConfig:
             "for validation; training and validation each need a row",
         )
         check(self.batch_size >= 1, "batch_size", "must be an integer >= 1")
-        check(self.learning_rate > 0, "learning_rate", "must be positive")
+        check(
+            0 < self.learning_rate < math.inf,
+            "learning_rate",
+            "must be positive and finite",
+        )
         check(self.hidden_width >= 1, "hidden_width", "must be an integer >= 1")
         check(self.patience >= 0, "patience", "must be an integer >= 0")
         check(self.max_epochs >= 1, "max_epochs", "must be an integer >= 1")

@@ -241,33 +241,13 @@ def _synth_workers() -> int:
     return min(cpus, _SYNTH_WORKERS)
 
 
-def draw_samples(
+def _sample_blocks(
     cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
 ):
-    """Yield ``n`` rows as blocks ``(lo, h, y)`` in row order: channels
-    ``h`` (rows, num_ports) and their complex slot-major pilot samples
-    ``y`` (rows, P*M) under ``schedule`` (the caller builds it once, with
-    ``cfg.build_schedule()``), row 0 of the block being sample ``lo``.
-
-    Sample i is drawn from its own stream (master_seed, SNR key, i), the
-    :func:`sample_stream` stream, whose seed words are computed for all
-    ``n`` rows in one pass; a block's channels and noise are then
-    synthesized together, byte for byte as :func:`draw_channel` then
-    :func:`observe` on that stream would give them.  ``snr_db`` is a single
-    SNR in dB, or a sequence of SNRs for the mixed mode, where each sample
-    draws its SNR uniformly from the list (that choice comes first in the
-    per-sample stream, then the channel, then the noise; a noise variance of
-    0 draws no noise).
-
-    Blocks are synthesized on a thread pool of up to :func:`_synth_workers`
-    threads, each with two blocks or more to do, at most two blocks per
-    thread ahead of the consumer, and yielded in row order; with one CPU, or
-    fewer than four blocks, they are synthesized in the calling thread.
-    Block boundaries and arithmetic do not depend on the thread count, so
-    neither does any byte.  The pool is shut down when the generator
-    finishes or is closed; an exception raised in a block reaches the
-    consumer at that block.
-    """
+    """``(synthesize, starts)`` for the ``n`` rows of :func:`draw_samples`:
+    ``synthesize(lo)`` returns the block ``(lo, h, y)`` whose row 0 is
+    sample ``lo``, and ``starts`` holds the blocks' first rows in order.
+    Blocks share no state, so any thread may synthesize any of them."""
     if n > 2**32:
         raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
     geometry = cfg.geometry()
@@ -295,7 +275,37 @@ def draw_samples(
         add_noise(y, normals, sigma2)
         return lo, h, y
 
-    starts = range(0, n, rows)
+    return synthesize, range(0, n, rows)
+
+
+def draw_samples(
+    cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
+):
+    """Yield ``n`` rows as blocks ``(lo, h, y)`` in row order: channels
+    ``h`` (rows, num_ports) and their complex slot-major pilot samples
+    ``y`` (rows, P*M) under ``schedule`` (the caller builds it once, with
+    ``cfg.build_schedule()``), row 0 of the block being sample ``lo``.
+
+    Sample i is drawn from its own stream (master_seed, SNR key, i), the
+    :func:`sample_stream` stream, whose seed words are computed for all
+    ``n`` rows in one pass; a block's channels and noise are then
+    synthesized together, byte for byte as :func:`draw_channel` then
+    :func:`observe` on that stream would give them.  ``snr_db`` is a single
+    SNR in dB, or a sequence of SNRs for the mixed mode, where each sample
+    draws its SNR uniformly from the list (that choice comes first in the
+    per-sample stream, then the channel, then the noise; a noise variance of
+    0 draws no noise).
+
+    Blocks are synthesized on a thread pool of up to :func:`_synth_workers`
+    threads, each with two blocks or more to do, at most two blocks per
+    thread ahead of the consumer, and yielded in row order; with one CPU, or
+    fewer than four blocks, they are synthesized in the calling thread.
+    Block boundaries and arithmetic do not depend on the thread count, so
+    neither does any byte.  The pool is shut down when the generator
+    finishes or is closed; an exception raised in a block reaches the
+    consumer at that block.
+    """
+    synthesize, starts = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
     # A thread pays for its start from two blocks on: two desk or paper
     # blocks ran 3-12% slower on two threads than in one, four broke even.
     workers = min(_synth_workers(), len(starts) // 2)
@@ -314,6 +324,17 @@ def draw_samples(
             yield block
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def draw_rows(
+    cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n`` rows of :func:`draw_samples` as one (channels, pilots)
+    pair, their blocks synthesized one after another in the calling thread
+    and on no pool: for a caller that runs threads of its own."""
+    synthesize, starts = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
+    _, h, y = zip(*map(synthesize, starts))
+    return np.concatenate(h), np.concatenate(y)
 
 
 def generate_dataset(

@@ -10,9 +10,11 @@ seeds): re-running reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,8 @@ from .config import (
     snr_label,
 )
 from .dataset_pipeline import (
-    draw_samples,
+    _synth_workers,
+    draw_rows,
     generate_dataset,
     load_dataset,
     sample_stream,  # unused here; faslab_bench/spans.py traces it
@@ -159,55 +162,92 @@ def cmd_train(
     return model_file, curve_file
 
 
+def _sweep_model(cfg: ExperimentConfig, snr, build_missing: bool) -> Path:
+    """The model file the sweep scores ``snr`` with, generated and trained
+    first when it is missing and ``build_missing`` is set."""
+    # The mixed mode shares one model across the whole sweep.
+    model_key = list(cfg.snr_db_list) if cfg.mixed_snr else snr
+    mfile = model_path(cfg, model_key)
+    if mfile.exists():
+        return mfile
+    if not build_missing:
+        raise FileNotFoundError(
+            f"missing model {mfile}; run `faslab generate` then "
+            f"`faslab train --dataset {dataset_path(cfg, model_key)}` first "
+            "(or pass --build to sweep)"
+        )
+    dfile = dataset_path(cfg, model_key)
+    saved = dfile if dfile.exists() else cmd_generate_single(cfg, model_key)
+    return cmd_train(cfg, saved)[0]
+
+
+@contextlib.contextmanager
+def _test_sets(cfg: ExperimentConfig, schedule):
+    """An iterator over the sweep's test sets, (channels, pilots) per SNR in
+    order, each a fresh draw from the test seed's own stream family.
+
+    With two CPUs or more in the affinity mask, one helper thread draws
+    them: it starts on the first on entry and draws the next while the
+    caller works on the current one, never more than one ahead.  With one
+    CPU each is drawn in the calling thread when it is asked for.  An error
+    in a draw reaches the caller at that SNR; leaving the block joins the
+    helper once it has finished the draw it is on.
+    """
+    def draw(snr):
+        return draw_rows(cfg, schedule, snr, cfg.seeds.test, cfg.n_test_samples)
+
+    if _synth_workers() <= 1:
+        yield map(draw, cfg.snr_db_list)
+        return
+    lane = ThreadPoolExecutor(1, thread_name_prefix="faslab-sweep")
+    try:
+        def in_order(ahead):
+            for snr in cfg.snr_db_list[1:]:
+                current = ahead.result()
+                ahead = lane.submit(draw, snr)
+                yield current
+            yield ahead.result()
+
+        yield in_order(lane.submit(draw, cfg.snr_db_list[0]))
+    finally:
+        lane.shutdown(cancel_futures=True)
+
+
 def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) -> Path:
     """NMSE (dB) per SNR per estimator over a fresh test set.
 
     Expects per-SNR models from ``generate`` + ``train``; with
-    ``build_missing`` they are produced on the fly.
+    ``build_missing`` they are produced on the fly.  Every model is found or
+    built before the first test set is drawn, so a missing one fails the
+    sweep at once.  With two CPUs or more, the next SNR's test set is drawn
+    on a helper thread while the current one is scored (see
+    :func:`_test_sets`); the bytes written do not depend on it.
     """
-    geometry = cfg.geometry()
+    model_files = [_sweep_model(cfg, snr, build_missing) for snr in cfg.snr_db_list]
     schedule = cfg.build_schedule()
-    dictionary = build_dictionary(
-        geometry, schedule, cfg.dictionary_oversampling * cfg.num_ports
-    )
-    sparsity = min(2 * cfg.num_clusters, schedule.num_samples)
-
     rows = []
     model_cache = {}
-    for snr in cfg.snr_db_list:
-        # The mixed mode shares one model across the whole sweep.
-        model_key = list(cfg.snr_db_list) if cfg.mixed_snr else snr
-        mfile = model_path(cfg, model_key)
-        if not mfile.exists():
-            if build_missing:
-                dfile = dataset_path(cfg, model_key)
-                saved = dfile if dfile.exists() else cmd_generate_single(cfg, model_key)
-                mfile, _ = cmd_train(cfg, saved)
-            else:
-                raise FileNotFoundError(
-                    f"missing model {mfile}; run `faslab generate` then "
-                    f"`faslab train --dataset {dataset_path(cfg, model_key)}` first "
-                    "(or pass --build to sweep)"
-                )
-        if mfile not in model_cache:
-            model_cache[mfile] = load_model(mfile)
-        params, normalizers = model_cache[mfile]
-        # A fresh test set, from the test seed's own stream family.
-        test_set = draw_samples(cfg, schedule, snr, cfg.seeds.test, cfg.n_test_samples)
-        _, blocks_h, blocks_y = zip(*test_set)
-        channels, pilots = np.concatenate(blocks_h), np.concatenate(blocks_y)
-
-        estimates = {
-            "mlp": predict_batch(params, normalizers, pilots),
-            "omp": omp_estimate(pilots, dictionary, sparsity),
-            "ls_observed": ls_observed_estimate(
-                pilots, schedule, noise_variance_for_snr(snr)
-            ),
-        }
-        for name in ESTIMATORS:
-            value = nmse_db(ensemble_nmse(estimates[name], channels))
-            rows.append((snr, name, value))
-            print(f"snr {snr:+.1f} dB  {name:<12} {value:8.2f} dB")
+    with _test_sets(cfg, schedule) as test_sets:
+        dictionary = build_dictionary(
+            cfg.geometry(), schedule, cfg.dictionary_oversampling * cfg.num_ports
+        )
+        sparsity = min(2 * cfg.num_clusters, schedule.num_samples)
+        for snr, mfile in zip(cfg.snr_db_list, model_files):
+            if mfile not in model_cache:
+                model_cache[mfile] = load_model(mfile)
+            params, normalizers = model_cache[mfile]
+            channels, pilots = next(test_sets)
+            estimates = {
+                "mlp": predict_batch(params, normalizers, pilots),
+                "omp": omp_estimate(pilots, dictionary, sparsity),
+                "ls_observed": ls_observed_estimate(
+                    pilots, schedule, noise_variance_for_snr(snr)
+                ),
+            }
+            for name in ESTIMATORS:
+                value = nmse_db(ensemble_nmse(estimates[name], channels))
+                rows.append((snr, name, value))
+                print(f"snr {snr:+.1f} dB  {name:<12} {value:8.2f} dB")
 
     out = Path(out_csv) if out_csv else sweep_path(cfg)
     lines = ["snr_db,estimator,nmse_db,n_test"]

@@ -1,7 +1,10 @@
 """Tests for the configuration surface and the command-line harness."""
 
 import json
+import math
 import re
+import shutil
+import threading
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from faslab import dataset_pipeline, experiment_cli
 from faslab.config import (
     COMPUTE_DTYPES,
     PROFILES,
@@ -145,6 +149,29 @@ class TestConfigValidation:
         assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err.startswith("error: rho: ")
 
+    @pytest.mark.parametrize(
+        "name",
+        ["aperture_wavelengths", "carrier_frequency_hz", "max_angle_spread_deg", "learning_rate"],
+    )
+    def test_infinite_float_rejected_naming_field(self, name, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"^{name}: must be .*finite"):
+            replace(desk_profile(), **{name: math.inf})
+        text = f'{{"{name}": Infinity}}'
+        with pytest.raises(ConfigError, match=f"^{name}: "):
+            ExperimentConfig.from_json(text)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
+    def test_negative_seed_exits_nonzero(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seeds": {"channel": -1}}))
+        assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err == "error: seeds.channel: must be an integer >= 0 (got -1)\n"
+        assert main(["show-config", "--seed-override", "test=-2"]) == 1
+        assert capsys.readouterr().err.startswith("error: seeds.test: must be an integer >= 0")
+
 
 class TestStrictOverlay:
     """The overlay refuses values that would change meaning on conversion."""
@@ -169,7 +196,7 @@ class TestStrictOverlay:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict({key: value})
 
-    @pytest.mark.parametrize("value", [1.5, True, "7"])
+    @pytest.mark.parametrize("value", [1.5, True, "7", -1])
     def test_bad_seed_rejected_naming_seed(self, value):
         with pytest.raises(ConfigError, match="seeds.channel"):
             ExperimentConfig.from_dict({"seeds": {"channel": value}})
@@ -527,6 +554,127 @@ class TestPipelineCommands:
         other = micro_config(tmp_path, rays_per_cluster=3)
         with pytest.warns(UserWarning, match="fingerprint"):
             cmd_train(other, files[0])
+
+
+@pytest.fixture(scope="module")
+def swept_models(tmp_path_factory):
+    """A three-SNR micro config with every model trained."""
+    cfg = micro_config(tmp_path_factory.mktemp("lanes"), snr_db_list=[0.0, 5.0, 10.0])
+    for dataset in cmd_generate(cfg):
+        cmd_train(cfg, dataset)
+    return cfg
+
+
+def sweep_lanes(monkeypatch, cpus):
+    """Make cmd_sweep see ``cpus`` CPUs in the affinity mask."""
+    monkeypatch.setattr(experiment_cli, "_synth_workers", lambda: cpus)
+
+
+class TestSweepLanes:
+    """cmd_sweep scores one SNR while a helper thread draws the next test set."""
+
+    def test_missing_last_model_fails_before_any_test_set_is_drawn(
+        self, swept_models, tmp_path, monkeypatch
+    ):
+        cfg = replace(swept_models, model_dir=str(tmp_path / "models"))
+        shutil.copytree(swept_models.model_dir, cfg.model_dir)
+        missing = experiment_cli.model_path(cfg, cfg.snr_db_list[-1])
+        missing.unlink()
+        draws = []
+        sample_blocks = dataset_pipeline._sample_blocks
+        monkeypatch.setattr(
+            dataset_pipeline, "_sample_blocks", lambda *a: draws.append(a) or sample_blocks(*a)
+        )
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
+            cmd_sweep(cfg, out)
+        assert draws == [] and not out.exists()
+
+    def test_two_lanes_draw_on_one_helper_at_most_one_set_ahead(
+        self, swept_models, tmp_path, monkeypatch
+    ):
+        sweep_lanes(monkeypatch, 2)
+        events = []
+        draw_rows, omp_estimate = experiment_cli.draw_rows, experiment_cli.omp_estimate
+
+        def drawing(cfg, schedule, snr, *args):
+            events.append(("draw", snr, threading.current_thread()))
+            return draw_rows(cfg, schedule, snr, *args)
+
+        def scoring(pilots, *args):
+            estimate = omp_estimate(pilots, *args)
+            events.append(("scored", None, threading.current_thread()))
+            return estimate
+
+        monkeypatch.setattr(experiment_cli, "draw_rows", drawing)
+        monkeypatch.setattr(experiment_cli, "omp_estimate", scoring)
+        before = threading.enumerate()
+        cmd_sweep(swept_models, tmp_path / "sweep.csv")
+        assert threading.enumerate() == before
+        draws = [e for e in events if e[0] == "draw"]
+        assert [snr for _, snr, _ in draws] == swept_models.snr_db_list
+        assert {thread.name for _, _, thread in draws} == {"faslab-sweep_0"}
+        assert all(e[2] is threading.main_thread() for e in events if e[0] == "scored")
+        # SNR k is drawn only once SNR k-2 has been scored.
+        kinds = [kind for kind, _, _ in events]
+        for k in range(2, len(draws)):
+            assert kinds[: events.index(draws[k])].count("scored") >= k - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_draw_error_reaches_the_caller_at_its_snr(
+        self, swept_models, tmp_path, monkeypatch, capsys, cpus
+    ):
+        sweep_lanes(monkeypatch, cpus)
+
+        class Boom(RuntimeError):
+            pass
+
+        draw_rows = experiment_cli.draw_rows
+
+        def second_snr_raises(cfg, schedule, snr, *args):
+            if snr == cfg.snr_db_list[1]:
+                raise Boom(f"drawing {snr}")
+            return draw_rows(cfg, schedule, snr, *args)
+
+        monkeypatch.setattr(experiment_cli, "draw_rows", second_snr_raises)
+        out = tmp_path / "sweep.csv"
+        before = threading.enumerate()
+        with pytest.raises(Boom, match="drawing 5.0"):
+            cmd_sweep(swept_models, out)
+        assert threading.enumerate() == before
+        assert not out.exists()
+        printed = capsys.readouterr().out
+        assert "snr +0.0 dB  ls_observed" in printed and "snr +5.0 dB" not in printed
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_scoring_error_joins_the_helper(self, swept_models, tmp_path, monkeypatch, cpus):
+        sweep_lanes(monkeypatch, cpus)
+
+        def raising(*args):
+            raise FloatingPointError("omp")
+
+        monkeypatch.setattr(experiment_cli, "omp_estimate", raising)
+        out = tmp_path / "sweep.csv"
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError, match="omp"):
+            cmd_sweep(swept_models, out)
+        assert threading.enumerate() == before
+        assert not out.exists()
+
+    def test_one_cpu_starts_no_thread_and_writes_the_same_bytes(
+        self, swept_models, tmp_path, monkeypatch
+    ):
+        sweep_lanes(monkeypatch, 2)
+        two_lanes = cmd_sweep(swept_models, tmp_path / "two.csv").read_bytes()
+        sweep_lanes(monkeypatch, 1)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread) or start(thread)
+        )
+        one_lane = cmd_sweep(swept_models, tmp_path / "one.csv").read_bytes()
+        assert started == []
+        assert one_lane == two_lanes
 
 
 class TestCmdTrainConvergence:
