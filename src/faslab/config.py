@@ -296,7 +296,11 @@ class ExperimentConfig:
     def from_json(
         cls, text: str, base: "ExperimentConfig | None" = None, source: str = "config"
     ) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text), base=base, source=source)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
+        return cls.from_dict(data, base=base, source=source)
 
 
 def _json_type(value) -> str:

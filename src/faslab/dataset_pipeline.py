@@ -7,11 +7,13 @@ normalization-agnostic.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import operator
 import os
 import struct
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -233,7 +235,10 @@ def snr_stream_key(snr_db) -> int:
 
 def _synth_workers() -> int:
     """Threads for :func:`draw_samples`: the CPUs in this process's affinity
-    mask, capped at ``_SYNTH_WORKERS``."""
+    mask, capped at ``_SYNTH_WORKERS``, and 1 off the main thread, where a
+    caller such as :func:`draw_test_sets` runs threads of its own."""
+    if threading.current_thread() is not threading.main_thread():
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -241,13 +246,58 @@ def _synth_workers() -> int:
     return min(cpus, _SYNTH_WORKERS)
 
 
-def _sample_blocks(
+@contextlib.contextmanager
+def _in_order(fn, items, threads: int, ahead: int, name: str):
+    """An iterator over ``fn(item)`` for ``items`` in order, computed on
+    ``threads`` threads named ``name_0``, ``name_1``, ... with at most
+    ``ahead`` calls in flight; the first are submitted on entry.  With
+    ``threads == 0`` it maps in the calling thread.  An exception raised by
+    a call reaches the consumer at its item; leaving the block cancels the
+    calls not started and joins the threads once the running ones finish.
+    """
+    if threads == 0:
+        yield map(fn, items)
+        return
+    items = iter(items)
+    pool = ThreadPoolExecutor(threads, thread_name_prefix=name)
+    try:
+        pending = deque(pool.submit(fn, item) for item in itertools.islice(items, ahead))
+
+        def results():
+            while pending:
+                result = pending.popleft().result()
+                pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
+                yield result
+
+        yield results()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def draw_samples(
     cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
 ):
-    """``(synthesize, starts)`` for the ``n`` rows of :func:`draw_samples`:
-    ``synthesize(lo)`` returns the block ``(lo, h, y)`` whose row 0 is
-    sample ``lo``, and ``starts`` holds the blocks' first rows in order.
-    Blocks share no state, so any thread may synthesize any of them."""
+    """Yield ``n`` rows as blocks ``(lo, h, y)`` in row order: channels
+    ``h`` (rows, num_ports) and their complex slot-major pilot samples
+    ``y`` (rows, P*M) under ``schedule`` (the caller builds it once, with
+    ``cfg.build_schedule()``), row 0 of the block being sample ``lo``.
+
+    Sample i is drawn from its own stream (master_seed, SNR key, i), the
+    :func:`sample_stream` stream, whose seed words are computed for all
+    ``n`` rows in one pass; a block's channels and noise are then
+    synthesized together, byte for byte as :func:`draw_channel` then
+    :func:`observe` on that stream would give them.  ``snr_db`` is a single
+    SNR in dB, or a sequence of SNRs for the mixed mode, where each sample
+    draws its SNR uniformly from the list (that choice comes first in the
+    per-sample stream, then the channel, then the noise; a noise variance of
+    0 draws no noise).
+
+    Blocks are synthesized through :func:`_in_order` on up to
+    :func:`_synth_workers` threads, each with two blocks or more, two
+    blocks per thread in flight; with one CPU, off the main thread, or with
+    fewer than four blocks, in the calling thread.  Block boundaries and
+    arithmetic do not depend on the thread count, so neither does any byte.
+    """
     if n > 2**32:
         raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
     geometry = cfg.geometry()
@@ -275,66 +325,41 @@ def _sample_blocks(
         add_noise(y, normals, sigma2)
         return lo, h, y
 
-    return synthesize, range(0, n, rows)
-
-
-def draw_samples(
-    cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
-):
-    """Yield ``n`` rows as blocks ``(lo, h, y)`` in row order: channels
-    ``h`` (rows, num_ports) and their complex slot-major pilot samples
-    ``y`` (rows, P*M) under ``schedule`` (the caller builds it once, with
-    ``cfg.build_schedule()``), row 0 of the block being sample ``lo``.
-
-    Sample i is drawn from its own stream (master_seed, SNR key, i), the
-    :func:`sample_stream` stream, whose seed words are computed for all
-    ``n`` rows in one pass; a block's channels and noise are then
-    synthesized together, byte for byte as :func:`draw_channel` then
-    :func:`observe` on that stream would give them.  ``snr_db`` is a single
-    SNR in dB, or a sequence of SNRs for the mixed mode, where each sample
-    draws its SNR uniformly from the list (that choice comes first in the
-    per-sample stream, then the channel, then the noise; a noise variance of
-    0 draws no noise).
-
-    Blocks are synthesized on a thread pool of up to :func:`_synth_workers`
-    threads, each with two blocks or more to do, at most two blocks per
-    thread ahead of the consumer, and yielded in row order; with one CPU, or
-    fewer than four blocks, they are synthesized in the calling thread.
-    Block boundaries and arithmetic do not depend on the thread count, so
-    neither does any byte.  The pool is shut down when the generator
-    finishes or is closed; an exception raised in a block reaches the
-    consumer at that block.
-    """
-    synthesize, starts = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
+    starts = range(0, n, rows)
     # A thread pays for its start from two blocks on: two desk or paper
     # blocks ran 3-12% slower on two threads than in one, four broke even.
     workers = min(_synth_workers(), len(starts) // 2)
     if workers <= 1:
-        yield from map(synthesize, starts)
-        return
-    starts = iter(starts)
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="faslab-synth")
-    try:
-        pending = deque(pool.submit(synthesize, lo) for lo in itertools.islice(starts, 2 * workers))
-        while pending:
-            block = pending.popleft().result()
-            lo = next(starts, None)
-            if lo is not None:
-                pending.append(pool.submit(synthesize, lo))
-            yield block
-    finally:
-        pool.shutdown(cancel_futures=True)
+        workers = 0
+    with _in_order(synthesize, starts, workers, 2 * workers, "faslab-synth") as blocks:
+        yield from blocks
 
 
 def draw_rows(
     cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n`` rows of :func:`draw_samples` as one (channels, pilots)
-    pair, their blocks synthesized one after another in the calling thread
-    and on no pool: for a caller that runs threads of its own."""
-    synthesize, starts = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
-    _, h, y = zip(*map(synthesize, starts))
+    """The ``n`` rows of :func:`draw_samples` as one (channels, pilots) pair."""
+    _, h, y = zip(*draw_samples(cfg, schedule, snr_db, master_seed, n))
     return np.concatenate(h), np.concatenate(y)
+
+
+def draw_test_sets(cfg: ExperimentConfig, schedule: SwitchSchedule):
+    """A context manager whose iterator gives the sweep's test sets,
+    (channels, pilots) per SNR of ``cfg.snr_db_list`` in order, each
+    :func:`draw_rows` of ``cfg.n_test_samples`` rows from the test seed's
+    own stream family.
+
+    With two CPUs or more in the affinity mask, one helper thread draws
+    them through :func:`_in_order`, starting on the first on entry and
+    never more than one ahead of the caller, its blocks one after another
+    (see :func:`_synth_workers`).  With one CPU each is drawn in the
+    calling thread when it is asked for.
+    """
+    def draw(snr):
+        return draw_rows(cfg, schedule, snr, cfg.seeds.test, cfg.n_test_samples)
+
+    helpers = 1 if _synth_workers() > 1 else 0
+    return _in_order(draw, cfg.snr_db_list, helpers, 1, "faslab-sweep")
 
 
 def generate_dataset(

@@ -10,11 +10,9 @@ seeds): re-running reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +27,7 @@ from .config import (
     snr_label,
 )
 from .dataset_pipeline import (
-    _synth_workers,
-    draw_rows,
+    draw_test_sets,
     generate_dataset,
     load_dataset,
     sample_stream,  # unused here; faslab_bench/spans.py traces it
@@ -181,38 +178,6 @@ def _sweep_model(cfg: ExperimentConfig, snr, build_missing: bool) -> Path:
     return cmd_train(cfg, saved)[0]
 
 
-@contextlib.contextmanager
-def _test_sets(cfg: ExperimentConfig, schedule):
-    """An iterator over the sweep's test sets, (channels, pilots) per SNR in
-    order, each a fresh draw from the test seed's own stream family.
-
-    With two CPUs or more in the affinity mask, one helper thread draws
-    them: it starts on the first on entry and draws the next while the
-    caller works on the current one, never more than one ahead.  With one
-    CPU each is drawn in the calling thread when it is asked for.  An error
-    in a draw reaches the caller at that SNR; leaving the block joins the
-    helper once it has finished the draw it is on.
-    """
-    def draw(snr):
-        return draw_rows(cfg, schedule, snr, cfg.seeds.test, cfg.n_test_samples)
-
-    if _synth_workers() <= 1:
-        yield map(draw, cfg.snr_db_list)
-        return
-    lane = ThreadPoolExecutor(1, thread_name_prefix="faslab-sweep")
-    try:
-        def in_order(ahead):
-            for snr in cfg.snr_db_list[1:]:
-                current = ahead.result()
-                ahead = lane.submit(draw, snr)
-                yield current
-            yield ahead.result()
-
-        yield in_order(lane.submit(draw, cfg.snr_db_list[0]))
-    finally:
-        lane.shutdown(cancel_futures=True)
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) -> Path:
     """NMSE (dB) per SNR per estimator over a fresh test set.
 
@@ -221,13 +186,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
     built before the first test set is drawn, so a missing one fails the
     sweep at once.  With two CPUs or more, the next SNR's test set is drawn
     on a helper thread while the current one is scored (see
-    :func:`_test_sets`); the bytes written do not depend on it.
+    :func:`draw_test_sets`); the bytes written do not depend on it.
     """
     model_files = [_sweep_model(cfg, snr, build_missing) for snr in cfg.snr_db_list]
     schedule = cfg.build_schedule()
     rows = []
     model_cache = {}
-    with _test_sets(cfg, schedule) as test_sets:
+    with draw_test_sets(cfg, schedule) as test_sets:
         dictionary = build_dictionary(
             cfg.geometry(), schedule, cfg.dictionary_oversampling * cfg.num_ports
         )
@@ -393,8 +358,11 @@ def main(argv=None) -> int:
         elif args.command == "show-config":
             print(canonical_json(cfg))
         return 0
-    except (ConfigError, FileNotFoundError, ValueError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, ValueError, TrainingDivergedError) as exc:
+        # An OSError holds its paths apart from its message; the second,
+        # where os.replace gives one, is the artifact written.
+        path = getattr(exc, "filename2", None) or getattr(exc, "filename", None)
+        print(f"error: {f'{path}: {exc.strerror}' if path else exc}", file=sys.stderr)
         return 1
 
 

@@ -567,7 +567,8 @@ def swept_models(tmp_path_factory):
 
 def sweep_lanes(monkeypatch, cpus):
     """Make cmd_sweep see ``cpus`` CPUs in the affinity mask."""
-    monkeypatch.setattr(experiment_cli, "_synth_workers", lambda: cpus)
+    mask = set(range(cpus))
+    monkeypatch.setattr(dataset_pipeline.os, "sched_getaffinity", lambda pid: mask, raising=False)
 
 
 class TestSweepLanes:
@@ -581,9 +582,9 @@ class TestSweepLanes:
         missing = experiment_cli.model_path(cfg, cfg.snr_db_list[-1])
         missing.unlink()
         draws = []
-        sample_blocks = dataset_pipeline._sample_blocks
+        stream_states = dataset_pipeline._stream_states
         monkeypatch.setattr(
-            dataset_pipeline, "_sample_blocks", lambda *a: draws.append(a) or sample_blocks(*a)
+            dataset_pipeline, "_stream_states", lambda *a: draws.append(a) or stream_states(*a)
         )
         out = tmp_path / "sweep.csv"
         with pytest.raises(FileNotFoundError, match=re.escape(str(missing))):
@@ -595,7 +596,7 @@ class TestSweepLanes:
     ):
         sweep_lanes(monkeypatch, 2)
         events = []
-        draw_rows, omp_estimate = experiment_cli.draw_rows, experiment_cli.omp_estimate
+        draw_rows, omp_estimate = dataset_pipeline.draw_rows, experiment_cli.omp_estimate
 
         def drawing(cfg, schedule, snr, *args):
             events.append(("draw", snr, threading.current_thread()))
@@ -606,7 +607,7 @@ class TestSweepLanes:
             events.append(("scored", None, threading.current_thread()))
             return estimate
 
-        monkeypatch.setattr(experiment_cli, "draw_rows", drawing)
+        monkeypatch.setattr(dataset_pipeline, "draw_rows", drawing)
         monkeypatch.setattr(experiment_cli, "omp_estimate", scoring)
         before = threading.enumerate()
         cmd_sweep(swept_models, tmp_path / "sweep.csv")
@@ -629,14 +630,14 @@ class TestSweepLanes:
         class Boom(RuntimeError):
             pass
 
-        draw_rows = experiment_cli.draw_rows
+        draw_rows = dataset_pipeline.draw_rows
 
         def second_snr_raises(cfg, schedule, snr, *args):
             if snr == cfg.snr_db_list[1]:
                 raise Boom(f"drawing {snr}")
             return draw_rows(cfg, schedule, snr, *args)
 
-        monkeypatch.setattr(experiment_cli, "draw_rows", second_snr_raises)
+        monkeypatch.setattr(dataset_pipeline, "draw_rows", second_snr_raises)
         out = tmp_path / "sweep.csv"
         before = threading.enumerate()
         with pytest.raises(Boom, match="drawing 5.0"):
@@ -806,6 +807,52 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             f"error: {cfg_file}: expected a JSON object, got {found}\n"
         )
+
+    def test_malformed_json_config_names_its_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text('{"num_slots": 8,')
+        with pytest.raises(ConfigError, match=r"^bad\.json: Expecting property name"):
+            ExperimentConfig.from_json(cfg_file.read_text(), source="bad.json")
+        rc = main(["show-config", "--profile", "desk", "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: Expecting property name enclosed in double quotes: "
+            "line 1 column 17 (char 16)\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--config", "--dataset", "--model"])
+    def test_directory_given_as_input_file_exits_nonzero_naming_it(
+        self, tmp_path, capsys, flag
+    ):
+        pilots = tmp_path / "pilots.csv"
+        pilots.write_text("re,im\n1,0\n")
+        argv = {
+            "--config": ["show-config", "--profile", "desk", "--config", str(tmp_path)],
+            "--dataset": ["train", "--profile", "desk", "--dataset", str(tmp_path)],
+            "--model": [
+                "eval-single", "--model", str(tmp_path), "--pilots", str(pilots),
+                "--out", str(tmp_path / "out.csv"),
+            ],
+        }[flag]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_directory_in_the_way_of_an_artifact_exits_nonzero_naming_it(
+        self, tmp_path, capsys
+    ):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "num_ports": 16, "num_antennas": 2, "num_slots": 8, "num_clusters": 1,
+            "rays_per_cluster": 2, "n_train_samples": 20, "snr_db_list": [0.0],
+        }))
+        in_the_way = tmp_path / "out" / "snr+0.0dB.fasd"
+        in_the_way.mkdir(parents=True)
+        argv = ["generate", "--profile", "desk", "--config", str(cfg_file)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {in_the_way}: Is a directory\n"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [in_the_way.name]
 
     def test_snr_whose_noise_variance_overflows_exits_nonzero(self, tmp_path, capsys):
         # 10^(4000/10) overflows a float64; -3000 dB still fits.

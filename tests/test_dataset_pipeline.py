@@ -223,6 +223,34 @@ class TestSynthesisPool:
             list(dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, n))
             assert (threading.current_thread() not in threads) == pooled
 
+    def test_off_the_main_thread_blocks_run_in_the_calling_thread(self, monkeypatch):
+        synth_workers(monkeypatch, 3)
+        threads = record_threads(monkeypatch)
+        cfg = desk_profile()  # 16 rows per block: 7 blocks
+        schedule = cfg.build_schedule()
+        on_main = list(dataset_pipeline.draw_samples(cfg, schedule, 0.0, 1, 100))
+        assert threading.current_thread() not in threads  # pooled on the main thread
+        threads.clear()
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread) or start(thread)
+        )
+        drawn = {}
+
+        def draw():
+            drawn["blocks"] = list(dataset_pipeline.draw_samples(cfg, schedule, 0.0, 1, 100))
+
+        caller = threading.Thread(target=draw)
+        caller.start()
+        caller.join()
+        assert started == [caller]
+        assert set(threads) == {caller} and len(threads) == 7
+        assert len(drawn["blocks"]) == len(on_main) == 7
+        for (lo1, h1, y1), (lo2, h2, y2) in zip(on_main, drawn["blocks"]):
+            assert lo1 == lo2
+            assert h1.tobytes() == h2.tobytes() and y1.tobytes() == y2.tobytes()
+
     def test_closing_after_the_first_block_joins_the_pool(self, monkeypatch):
         synth_workers(monkeypatch, 3)
         cfg = desk_profile()
