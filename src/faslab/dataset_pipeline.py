@@ -8,6 +8,7 @@ normalization-agnostic.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import itertools
 import operator
@@ -56,11 +57,14 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 # Steering entries per synthesis block.  A block holds
-# _SYNTH_BLOCK // (N * K) rows (16 desk rows, 4 paper rows), so its
-# (rows, N, K) complex steering tensor is about 320 KB and stays in cache
-# with its phase temporaries.  A 2 000-row batch ran slower than one row at
-# a time because of its large temporaries; blocks 2-4x larger than this one
-# measured no faster.
+# max(16, _SYNTH_BLOCK // (N * K)) rows: 16 desk rows (N*K = 1 280) and, by
+# the floor, 16 paper rows (5 120), where the budget alone gives 4.  Its
+# (rows, N, K) complex steering tensor takes 320 KB at desk shape and
+# 1.3 MB at paper shape; a 2 000-row batch ran slower than one row at a
+# time because of its large temporaries.  The floor spreads a
+# block's fixed cost (its buffers, some 35 small numpy calls, a pooled
+# future's hand-off) over more rows: paper generation alone ran 24% faster
+# on two threads and 10% on one.
 _SYNTH_BLOCK = 20_480
 # Threads that synthesize blocks at most: draw_samples runs one per CPU the
 # process may use, up to this cap.  A block's time is mostly numpy's sin and
@@ -306,7 +310,7 @@ def draw_samples(
     mixed = isinstance(snr_db, (list, tuple))
     variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
     states = _stream_states(master_seed, snr_stream_key(snr_db), np.arange(n, dtype=np.uint32))
-    rows = max(1, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
+    rows = max(16, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
 
     def synthesize(lo: int):
         count = min(rows, n - lo)
@@ -326,8 +330,9 @@ def draw_samples(
         return lo, h, y
 
     starts = range(0, n, rows)
-    # A thread pays for its start from two blocks on: two desk or paper
-    # blocks ran 3-12% slower on two threads than in one, four broke even.
+    # A thread pays for its start from two blocks on: two blocks ran 7%
+    # (paper) to 17% (desk) slower on two threads than in one; four broke
+    # even on desk and ran 32% faster at paper shape.
     workers = min(_synth_workers(), len(starts) // 2)
     if workers <= 1:
         workers = 0
@@ -519,24 +524,40 @@ def read_file_aligned(path, data_offset: int) -> memoryview:
         return view[: fh.readinto(view)]
 
 
-def write_artifact(path, chunks) -> None:
-    """Write the bytes-like chunks to ``path``, creating its parent directory.
-
-    They go to a temporary file next to ``path`` that one rename then moves
-    onto it: a write cut short by an exception (which also removes the
-    temporary file) or by the process dying leaves any earlier file at
-    ``path`` whole.  Nothing is synced, so this does not hold on power loss.
+@contextlib.contextmanager
+def staged_artifacts(*paths):
+    """Temporary paths next to ``paths``, one each (parent directories
+    created), for the block to write.  When the block completes, each is
+    renamed onto its path, but none while one of ``paths`` is a directory
+    (which fails such a rename), so the files land together or not at all;
+    when it raises, they are removed.  An earlier file at a path stays whole
+    if the process dies first.  Nothing is synced, so this does not hold on
+    power loss.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    paths = [Path(p) for p in paths]
+    tmps = []
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmps.append(path.with_name(f"{path.name}.{os.getpid()}.tmp"))
     try:
-        with open(tmp, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        yield tmps
+        for path in paths:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def write_artifact(path, chunks) -> None:
+    """Write the bytes-like chunks to ``path`` through
+    :func:`staged_artifacts`: a write cut short leaves any earlier file at
+    ``path`` whole."""
+    with staged_artifacts(path) as (tmp,), open(tmp, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def _check_widths(path, n_ports, n_ant, n_slots, feat_w, tgt_w) -> None:

@@ -33,6 +33,7 @@ from .dataset_pipeline import (
     sample_stream,  # unused here; faslab_bench/spans.py traces it
     save_dataset,
     split,
+    staged_artifacts,
     write_artifact,
 )
 from .errors import ConfigError, TrainingDivergedError
@@ -107,7 +108,8 @@ def cmd_train(
     model_out=None,
     curve_out=None,
 ) -> tuple[Path, Path]:
-    """Train on one dataset file; write the model and the convergence CSV.
+    """Train on one dataset file; write the model and the convergence CSV,
+    both or neither (see :func:`staged_artifacts`).
 
     All training-side streams (split, shuffling, initialization) derive
     from the config seeds combined with the dataset's fingerprint, so each
@@ -149,8 +151,10 @@ def cmd_train(
     curve_file = Path(curve_out) if curve_out else Path(cfg.results_dir) / (
         "convergence_" + dataset_file.stem + ".csv"
     )
-    save_model(model_file, params, normalizers)
-    write_artifact(curve_file, [report_to_csv(report).encode()])
+    curve = report_to_csv(report).encode()
+    with staged_artifacts(model_file, curve_file) as (model_tmp, curve_tmp):
+        save_model(model_tmp, params, normalizers)
+        write_artifact(curve_tmp, [curve])
     print(
         f"trained {dataset_file.stem} in {cfg.compute_dtype}: best epoch {report.best_epoch}/"
         f"{report.epochs_run}, val NMSE {report.val_nmse_db[report.best_epoch - 1]:.2f} dB"
@@ -224,26 +228,29 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
 
 def _parse_complex_csv(path) -> np.ndarray:
     """Complex vector from a two-column (re, im) CSV with optional header."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if lineno == 1 and text.lower().replace(" ", "") == "re,im":
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 're,im' pair, got {text!r}"
-                )
-            try:
-                re_part, im_part = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not (math.isfinite(re_part) and math.isfinite(im_part)):
-                raise ValueError(f"{path}:{lineno}: non-finite value in {text!r}")
-            values.append(complex(re_part, im_part))
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if lineno == 1 and text.lower().replace(" ", "") == "re,im":
+            continue
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected 're,im' pair, got {text!r}"
+            )
+        try:
+            re_part, im_part = float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(re_part) and math.isfinite(im_part)):
+            raise ValueError(f"{path}:{lineno}: non-finite value in {text!r}")
+        values.append(complex(re_part, im_part))
     return np.array(values, dtype=complex)
 
 
@@ -277,10 +284,11 @@ def load_config(
         raise ConfigError(f"unknown profile '{profile}'")
     cfg = PROFILES[profile]()
     if config_path is not None:
-        cfg = ExperimentConfig.from_json(
-            Path(config_path).read_text(encoding="utf-8"), base=cfg,
-            source=str(config_path),
-        )
+        try:
+            text = Path(config_path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{config_path}: {exc}") from None
+        cfg = ExperimentConfig.from_json(text, base=cfg, source=str(config_path))
     return ExperimentConfig.from_dict({"seeds": seed_overrides or {}}, base=cfg)
 
 

@@ -759,6 +759,20 @@ class TestEvalSingle:
         assert f"bad.csv:3: non-finite value in '{row}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_pilots_that_are_not_utf8_name_their_file(self, tmp_path, capsys):
+        bad = tmp_path / "p.csv"
+        bad.write_bytes(b"re,im\n0.1,\xff\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))}: 'utf-8' codec"):
+            cmd_eval_single(tmp_path / "missing.fasm", bad, tmp_path / "out.csv")
+        out = tmp_path / "out.csv"
+        rc = main([
+            "eval-single", "--model", str(tmp_path / "missing.fasm"),
+            "--pilots", str(bad), "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert not out.exists()
+
     def test_wrong_length_rejected(self, tmp_path):
         cfg = micro_config(tmp_path, snr_db_list=[10.0])
         files = cmd_generate(cfg)
@@ -820,6 +834,18 @@ class TestMainEntry:
             "line 1 column 17 (char 16)\n"
         )
 
+    def test_config_that_is_not_utf8_names_its_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_bytes(b'{"num_slots": \xff}')
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(cfg_file))}: 'utf-8' codec"):
+            load_config(cfg_file, profile="desk")
+        rc = main(["show-config", "--profile", "desk", "--config", str(cfg_file)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: 'utf-8' codec can't decode byte 0xff in position 14: "
+            "invalid start byte\n"
+        )
+
     @pytest.mark.parametrize("flag", ["--config", "--dataset", "--model"])
     def test_directory_given_as_input_file_exits_nonzero_naming_it(
         self, tmp_path, capsys, flag
@@ -853,6 +879,23 @@ class TestMainEntry:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {in_the_way}: Is a directory\n"
         assert [p.name for p in (tmp_path / "out").iterdir()] == [in_the_way.name]
+
+    def test_curve_that_cannot_be_written_leaves_no_model(self, tmp_path, capsys):
+        cfg = micro_config(tmp_path, snr_db_list=[0.0], n_train_samples=60, max_epochs=1)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(canonical_json(cfg))
+        (dataset,) = cmd_generate(cfg)
+        in_the_way = tmp_path / "out.csv"
+        in_the_way.mkdir()
+        model = tmp_path / "m2" / "x.fasm"
+        rc = main([
+            "train", "--config", str(cfg_file), "--dataset", str(dataset),
+            "--out", str(model), "--curve", str(in_the_way),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {in_the_way}: Is a directory\n"
+        assert list(model.parent.iterdir()) == []
+        assert list(in_the_way.iterdir()) == []
 
     def test_snr_whose_noise_variance_overflows_exits_nonzero(self, tmp_path, capsys):
         # 10^(4000/10) overflows a float64; -3000 dB still fits.

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from faslab import dataset_pipeline
-from faslab.config import ExperimentConfig, dataset_fingerprint, desk_profile
+from faslab.config import ExperimentConfig, dataset_fingerprint, desk_profile, paper_profile
 from faslab.dataset_pipeline import (
     Dataset,
     Normalizer,
@@ -124,9 +124,11 @@ class TestDrawSamples:
         assert np.concatenate([y for _, _, y in blocks]).tobytes() == pilots.tobytes()
         return blocks
 
-    def test_desk_rows_per_block(self):
-        # 20 rays over 64 ports: the documented 16 desk rows per block.
-        blocks = self.blocks(desk_profile(), 0.0, 1, 40)
+    @pytest.mark.parametrize("profile", [desk_profile, paper_profile], ids=["desk", "paper"])
+    def test_rows_per_block(self, profile):
+        # 20 rays over 64 ports: the steering budget's 16 desk rows per block.
+        # Over 256 ports the budget gives 4 rows, and the floor 16.
+        blocks = self.blocks(profile(), 0.0, 1, 40)
         assert [len(h) for _, h, _ in blocks] == [16, 16, 8]
 
     @pytest.mark.parametrize("n", [3, 37])
@@ -134,9 +136,16 @@ class TestDrawSamples:
         # 3 rows fill less than one block; 37 is not a multiple of 16.
         self.assert_matches_per_sample(desk_profile(), -10.0, n)
 
-    def test_random_schedule_revisiting_ports(self):
-        cfg = replace(desk_profile(), schedule_kind="random", num_slots=24)  # 96 samples, 64 ports
-        self.assert_matches_per_sample(cfg, 10.0, 37)
+    @pytest.mark.parametrize(
+        "cfg, snr_db",
+        [
+            (replace(desk_profile(), schedule_kind="random", num_slots=24), 10.0),  # 96 samples, 64 ports
+            (replace(paper_profile(), schedule_kind="random"), [-10.0, 0.0, 10.0]),  # 16-row blocks
+        ],
+        ids=["desk", "paper-mixed"],
+    )
+    def test_random_schedule_revisiting_ports(self, cfg, snr_db):
+        self.assert_matches_per_sample(cfg, snr_db, 37)
 
     def test_mixed_snr_with_a_noiseless_entry(self):
         cfg = replace(desk_profile(), schedule_kind="random")
