@@ -19,6 +19,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -41,6 +42,10 @@ _FIT_COLUMNS = 64
 # magic, version, num_ports, num_antennas, num_slots, n_samples,
 # feature_width, target_width
 _HEADER = struct.Struct("<4sHIIIQII")
+# The header, the 32-byte config fingerprint and the 32-byte payload SHA-256.
+_PAYLOAD_OFFSET = _HEADER.size + 64
+# Payload bytes per read in load_split.
+_LOAD_CHUNK = 1 << 20
 
 # Scalar SNR keys occupy [0, 2**32); sentinels for the mixed mode and the
 # noiseless/zero-signal infinities sit above that range.
@@ -82,14 +87,17 @@ def pack_complex(v: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(v), np.imag(v)], axis=-1).astype(float, copy=False)
 
 
-def unpack_complex(r: np.ndarray) -> np.ndarray:
+def unpack_complex(r: np.ndarray, out=None) -> np.ndarray:
     """Exact inverse of :func:`pack_complex` along the last axis (one vector
-    or a row matrix), in float64; rejects an odd width."""
-    r = np.asarray(r, dtype=float)
+    or a row matrix), in complex128, written into ``out`` when it is given;
+    rejects an odd width.  A float32 ``r`` is widened as it is read."""
+    r = np.asarray(r)
     if r.ndim == 0 or r.shape[-1] % 2:
         raise ValueError(f"length must be even along the last axis, got shape {r.shape}")
     k = r.shape[-1] // 2
-    return r[..., :k] + 1j * r[..., k:]
+    # re + 1j * im in the complex128 arithmetic of the float64 expression.
+    h = np.multiply(1j, r[..., k:], out=out, dtype=complex)
+    return np.add(r[..., :k], h, out=h, dtype=complex)
 
 
 @dataclass
@@ -400,25 +408,29 @@ def generate_dataset(
     )
 
 
-def split(ds: Dataset, rho: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
-    """Disjoint (train, validation) row partition with |val| = round(rho * n).
-
-    Rows are permuted first; validation takes the head of the permutation.
-    """
+def _split_rows(n: int, rho: float, rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """The row assignment of a split of ``n`` rows: a permutation whose
+    first ``n_val = round(rho * n)`` entries are the validation rows and
+    whose rest are the training rows, in order, and ``n_val``."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must lie strictly between 0 and 1, got {rho}")
-    n = ds.n_samples
     n_val = validation_rows(n, rho)
     if n_val < 1 or n - n_val < 1:
         raise ValueError(
             f"degenerate split: {n} rows at rho={rho} gives {n_val} validation rows"
         )
-    perm = rng.permutation(n)
-    val_idx = perm[:n_val]
-    train_idx = perm[n_val:]
+    return rng.permutation(n), n_val
+
+
+def split(ds: Dataset, rho: float, rng: np.random.Generator) -> tuple[Dataset, Dataset]:
+    """Disjoint (train, validation) row partition with |val| = round(rho * n).
+
+    Rows are permuted first; validation takes the head of the permutation.
+    """
+    perm, n_val = _split_rows(ds.n_samples, rho, rng)
     # Indexing with an index array copies, so neither part shares the source.
     make = lambda idx: replace(ds, features=ds.features[idx], targets=ds.targets[idx])
-    return make(train_idx), make(val_idx)
+    return make(perm[n_val:]), make(perm[:n_val])
 
 
 @dataclass
@@ -598,17 +610,33 @@ def save_dataset(ds: Dataset, path) -> None:
     write_artifact(path, (header, ds.config_fingerprint, digest.digest(), feat, tgt))
 
 
-def load_dataset(path) -> Dataset:
-    """Inverse of :func:`save_dataset` with integrity checks.
+class _Header(NamedTuple):
+    """The fields of a FASD header that a loader uses."""
 
-    A header whose widths disagree with its dimensions raises
-    FileFormatError naming the field; corrupt or truncated payloads raise
-    ChecksumError.  The features and targets are writable views over one
-    buffer holding the file, not copies.
-    """
-    offset = _HEADER.size + 64
-    raw = read_file_aligned(path, offset)
-    if len(raw) < offset:
+    num_ports: int
+    num_antennas: int
+    num_slots: int
+    n_samples: int
+    feature_width: int
+    target_width: int
+    fingerprint: bytes
+    checksum: bytes
+
+    def payload_bytes(self) -> int:
+        return 4 * self.n_samples * (self.feature_width + self.target_width)
+
+    def dataset(self, features, targets) -> Dataset:
+        return Dataset(
+            features, targets, self.fingerprint, self.num_ports, self.num_antennas, self.num_slots
+        )
+
+
+def _read_header(path, raw) -> _Header:
+    """The header at the start of ``raw``, the first ``_PAYLOAD_OFFSET``
+    bytes of the file or more.  A short header, a bad magic or version, or
+    widths that disagree with the dimensions raise FileFormatError naming
+    ``path``."""
+    if len(raw) < _PAYLOAD_OFFSET:
         raise FileFormatError(f"{path}: file too short for a dataset header")
     magic, version, n_ports, n_ant, n_slots, n_samples, feat_w, tgt_w = _HEADER.unpack_from(
         raw
@@ -621,12 +649,75 @@ def load_dataset(path) -> Dataset:
     # between the two widths keeps the payload size and would load silently.
     _check_widths(path, n_ports, n_ant, n_slots, feat_w, tgt_w)
     fingerprint = bytes(raw[_HEADER.size : _HEADER.size + 32])
-    checksum = raw[_HEADER.size + 32 : offset]
-    payload = raw[offset:]
-    expected_bytes = 4 * n_samples * (feat_w + tgt_w)
-    if len(payload) != expected_bytes or hashlib.sha256(payload).digest() != checksum:
-        raise ChecksumError(f"{path}: payload checksum mismatch (corrupt or truncated)")
-    n_feat = n_samples * feat_w
-    features = np.frombuffer(payload, dtype="<f4", count=n_feat).reshape(n_samples, feat_w)
-    targets = np.frombuffer(payload, dtype="<f4", offset=4 * n_feat).reshape(n_samples, tgt_w)
-    return Dataset(features, targets, fingerprint, n_ports, n_ant, n_slots)
+    checksum = bytes(raw[_HEADER.size + 32 : _PAYLOAD_OFFSET])
+    return _Header(n_ports, n_ant, n_slots, n_samples, feat_w, tgt_w, fingerprint, checksum)
+
+
+def _checksum_error(path) -> ChecksumError:
+    return ChecksumError(f"{path}: payload checksum mismatch (corrupt or truncated)")
+
+
+def load_dataset(path) -> Dataset:
+    """Inverse of :func:`save_dataset` with integrity checks.
+
+    A header whose widths disagree with its dimensions raises
+    FileFormatError naming the field; corrupt or truncated payloads raise
+    ChecksumError.  The features and targets are writable views over one
+    buffer holding the file, not copies.
+    """
+    raw = read_file_aligned(path, _PAYLOAD_OFFSET)
+    head = _read_header(path, raw)
+    payload = raw[_PAYLOAD_OFFSET:]
+    if len(payload) != head.payload_bytes() or hashlib.sha256(payload).digest() != head.checksum:
+        raise _checksum_error(path)
+    n, feat_w, tgt_w = head.n_samples, head.feature_width, head.target_width
+    features = np.frombuffer(payload, dtype="<f4", count=n * feat_w).reshape(n, feat_w)
+    targets = np.frombuffer(payload, dtype="<f4", offset=4 * n * feat_w).reshape(n, tgt_w)
+    return head.dataset(features, targets)
+
+
+def load_split(path, rho: float, rng_for) -> tuple[Dataset, Dataset]:
+    """``split(load_dataset(path), rho, rng_for(fingerprint))``, byte for
+    byte, without holding the file next to its two parts.
+
+    ``rng_for`` maps the file's config fingerprint to the generator the
+    split draws from.  The payload is read in chunks of about
+    ``_LOAD_CHUNK`` bytes; each chunk enters the SHA-256 and its rows go
+    straight to the places :func:`split` gives them in the train and
+    validation matrices.  The checksum is compared once the last chunk is
+    in: corrupt or truncated payloads raise ChecksumError, and the errors
+    of :func:`load_dataset` and :func:`split` are raised as they raise them.
+    """
+    with open(path, "rb") as fh:
+        head = _read_header(path, fh.read(_PAYLOAD_OFFSET))
+        if os.fstat(fh.fileno()).st_size != _PAYLOAD_OFFSET + head.payload_bytes():
+            raise _checksum_error(path)
+        n = head.n_samples
+        perm, n_val = _split_rows(n, rho, rng_for(head.fingerprint))
+        # Row i of the file is row place[i] of the validation part when
+        # place[i] < n_val, and row place[i] - n_val of the training part
+        # otherwise.
+        place = np.empty(n, dtype=np.intp)
+        place[perm] = np.arange(n)
+        digest = hashlib.sha256()
+        parts = []
+        for width in (head.feature_width, head.target_width):
+            val = np.empty((n_val, width), np.float32)
+            trn = np.empty((n - n_val, width), np.float32)
+            rows = max(1, _LOAD_CHUNK // (4 * width))
+            chunk = np.empty((min(rows, n), width), "<f4")
+            for lo in range(0, n, rows):
+                block = chunk[: min(rows, n - lo)]
+                if fh.readinto(block) != block.nbytes:
+                    raise _checksum_error(path)
+                digest.update(block)
+                dest = place[lo : lo + len(block)]
+                held_out = dest < n_val
+                val[dest[held_out]] = block[held_out]
+                kept = ~held_out
+                trn[dest[kept] - n_val] = block[kept]
+            parts.append((trn, val))
+    if digest.digest() != head.checksum:
+        raise _checksum_error(path)
+    (trn_x, val_x), (trn_t, val_t) = parts
+    return head.dataset(trn_x, trn_t), head.dataset(val_x, val_t)

@@ -29,10 +29,11 @@ from .config import (
 from .dataset_pipeline import (
     draw_test_sets,
     generate_dataset,
-    load_dataset,
+    load_dataset,  # unused here; faslab_bench/spans.py traces it
+    load_split,
     sample_stream,  # unused here; faslab_bench/spans.py traces it
     save_dataset,
-    split,
+    split,  # unused here; faslab_bench/spans.py traces it
     staged_artifacts,
     write_artifact,
 )
@@ -116,23 +117,26 @@ def cmd_train(
     SNR point trains reproducibly and independently.
     """
     dataset_file = Path(dataset_file)
-    expected = {dataset_fingerprint(cfg, p) for p in cfg.snr_points()}
-    ds = load_dataset(dataset_file)
-    if ds.config_fingerprint not in expected:
+    # The file's rows go straight into the two parts of the split: the file
+    # is never held whole next to them.
+    train_ds, val_ds = load_split(
+        dataset_file,
+        cfg.rho,
+        lambda fingerprint: np.random.default_rng(
+            (cfg.seeds.shuffle, _fingerprint_int(fingerprint), 0)
+        ),
+    )
+    if train_ds.config_fingerprint not in {
+        dataset_fingerprint(cfg, p) for p in cfg.snr_points()
+    }:
         warnings.warn(
             f"{dataset_file}: fingerprint does not match any SNR point of "
             "this configuration; proceeding anyway",
             stacklevel=2,
         )
-    tag = _fingerprint_int(ds.config_fingerprint)
-    split_rng = np.random.default_rng((cfg.seeds.shuffle, tag, 0))
+    tag = _fingerprint_int(train_ds.config_fingerprint)
     shuffle_rng = np.random.default_rng((cfg.seeds.shuffle, tag, 1))
     init_rng = np.random.default_rng((cfg.seeds.init, tag))
-
-    train_ds, val_ds = split(ds, cfg.rho, split_rng)
-    # split copies the rows, so dropping the loaded file's buffer here frees
-    # it before training.
-    del ds
     hyper = Hyperparams(
         hidden_width=cfg.hidden_width,
         learning_rate=cfg.learning_rate,
@@ -195,16 +199,19 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
     model_files = [_sweep_model(cfg, snr, build_missing) for snr in cfg.snr_db_list]
     schedule = cfg.build_schedule()
     rows = []
-    model_cache = {}
+    # Only the current model is held: the mixed mode loads its one model
+    # once, and a per-SNR model is dropped before the next is loaded.
+    loaded = params = normalizers = None
     with draw_test_sets(cfg, schedule) as test_sets:
         dictionary = build_dictionary(
             cfg.geometry(), schedule, cfg.dictionary_oversampling * cfg.num_ports
         )
         sparsity = min(2 * cfg.num_clusters, schedule.num_samples)
         for snr, mfile in zip(cfg.snr_db_list, model_files):
-            if mfile not in model_cache:
-                model_cache[mfile] = load_model(mfile)
-            params, normalizers = model_cache[mfile]
+            if mfile != loaded:
+                params = normalizers = None
+                params, normalizers = load_model(mfile)
+                loaded = mfile
             channels, pilots = next(test_sets)
             estimates = {
                 "mlp": predict_batch(params, normalizers, pilots),

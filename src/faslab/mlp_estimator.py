@@ -362,7 +362,16 @@ def nmse_db(value: float) -> float:
     return float(10.0 * np.log10(value)) if value > 0.0 else -math.inf
 
 
-def ensemble_nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
+def channel_energy(h: np.ndarray) -> float:
+    """Total channel energy sum_i ||h_i||^2 of a sample set; zero energy
+    raises ``ValueError``, as no NMSE can be taken against it."""
+    energy = float(np.sum(np.abs(h) ** 2))
+    if energy == 0.0:
+        raise ValueError("channel set has zero energy")
+    return energy
+
+
+def ensemble_nmse(h_hat: np.ndarray, h: np.ndarray, energy=None, scratch=None) -> float:
     """Total squared error over total channel energy across a sample set.
 
     The linear-domain aggregate sum_i ||err_i||^2 / sum_i ||h_i||^2; rows
@@ -370,15 +379,22 @@ def ensemble_nmse(h_hat: np.ndarray, h: np.ndarray) -> float:
     ||h||^2).  This weighting keeps the metric consistent with its
     closed-form predictions (an unweighted mean of per-sample ratios is
     biased upward by low-energy draws).
+
+    A caller that scores many estimates against one set can pass its
+    :func:`channel_energy` as ``energy`` and, as ``scratch``, a complex and
+    a float64 buffer of ``h``'s shape for the error and its squared modulus
+    (the first may be ``h_hat`` itself, which is then overwritten); neither
+    changes a bit of the result.
     """
     h_hat = np.asarray(h_hat)
     h = np.asarray(h)
     if h_hat.shape != h.shape:
         raise ValueError(f"shape mismatch: {h_hat.shape} vs {h.shape}")
-    denom = float(np.sum(np.abs(h) ** 2))
-    if denom == 0.0:
-        raise ValueError("channel set has zero energy")
-    return float(np.sum(np.abs(h_hat - h) ** 2)) / denom
+    if energy is None:
+        energy = channel_energy(h)
+    err, sq = scratch if scratch is not None else (None, None)
+    sq = np.abs(np.subtract(h_hat, h, out=err), out=sq)
+    return float(np.sum(np.square(sq, out=sq))) / energy
 
 
 # -- complexity counters -----------------------------------------------------
@@ -478,12 +494,15 @@ def train(
     training rows stay in the dataset's float32 matrices: each mini-batch is
     gathered from them and normalized into a batch buffer.  Training stops
     once the epochs since the best validation NMSE exceed ``hyper.patience``,
-    and the parameters from that best epoch are returned, as float64.
+    and the parameters from that best epoch are returned, as float64.  A
+    validation set with zero channel energy raises ``ValueError`` before
+    the first step.
 
     Parameters, gradients, Adam moments, batch buffers and activations are
     all in ``hyper.compute_dtype``; the validation pass runs in it too.  The
     initialization is drawn in float64 whatever the dtype, so both dtypes
-    start from the same draw.
+    start from the same draw.  All of that state is freed before the best
+    parameters are widened to float64.
 
     ``rng`` seeds the parameter initialization and, when ``shuffle_rng`` is
     not given, the epoch shuffles too.  Returns (params, normalizers, report).
@@ -492,7 +511,6 @@ def train(
         raise ValueError(
             f"compute_dtype must be one of {COMPUTE_DTYPES}, got {hyper.compute_dtype!r}"
         )
-    dtype = np.dtype(hyper.compute_dtype)
     if train_ds.n_samples < 2 or val_ds.n_samples < 1:
         raise ValueError(
             f"need >= 2 train and >= 1 validation rows, got "
@@ -502,17 +520,30 @@ def train(
         train_ds.targets.shape[1] != val_ds.targets.shape[1]
     ):
         raise ValueError("train and validation widths differ")
-    if shuffle_rng is None:
-        shuffle_rng = rng
+    normalizers = Normalizers(fit_normalizer(train_ds.features), fit_normalizer(train_ds.targets))
+    best, report = _train_epochs(
+        train_ds, val_ds, normalizers, hyper, rng, rng if shuffle_rng is None else shuffle_rng
+    )
+    # A float32 value widens to float64 exactly.
+    dims = normalizers.features.width, hyper.hidden_width, normalizers.targets.width
+    return MlpParams.from_flat(best.astype(float, copy=False), *dims), normalizers, report
 
-    feat_nrm = fit_normalizer(train_ds.features)
-    tgt_nrm = fit_normalizer(train_ds.targets)
-    normalizers = Normalizers(feat_nrm, tgt_nrm)
 
+def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
+    """The epochs of :func:`train`: returns the best epoch's flat parameter
+    vector, in the compute dtype, and the report.  The parameters,
+    gradients, Adam state, forward cache and buffers it builds die with
+    its frame."""
+    dtype = np.dtype(hyper.compute_dtype)
+    feat_nrm, tgt_nrm = normalizers.features, normalizers.targets
     x_val = apply_normalizer(
         feat_nrm, val_ds.features, out=np.empty(val_ds.features.shape, dtype)
     )
+    # The validation channels and their energy, taken once, and the error
+    # buffers that every epoch's score reuses.
     h_val = _rows_to_complex(val_ds.targets)
+    energy = channel_energy(h_val)
+    scratch = (np.empty_like(h_val), np.empty(h_val.shape))
 
     d_in = feat_nrm.width
     d_out = tgt_nrm.width
@@ -523,16 +554,18 @@ def train(
 
     report = TrainReport()
     best_nmse = np.inf
-    best_params = params.copy()
+    best = params.flat.copy()
     n = train_ds.n_samples
-    # Buffers reused by every step and epoch: the gathered float32 rows, the
-    # normalized batch, the loss gradient, the parameter gradients and the
-    # activations (in the forward cache, which the validation pass shares).
+    # Buffers reused by every step and epoch: the rows gathered from the
+    # float32 matrices, normalized in place when training in float32 and
+    # into a batch buffer otherwise, the loss gradient, the parameter
+    # gradients and the activations (in the forward cache, which the
+    # validation pass shares).
     batch = min(hyper.batch_size, n)
     x_rows = np.empty((batch, d_in), dtype=train_ds.features.dtype)
     t_rows = np.empty((batch, d_out), dtype=train_ds.targets.dtype)
-    x_batch = np.empty((batch, d_in), dtype)
-    t_batch = np.empty((batch, d_out), dtype)
+    x_batch = x_rows if x_rows.dtype == dtype else np.empty((batch, d_in), dtype)
+    t_batch = t_rows if t_rows.dtype == dtype else np.empty((batch, d_out), dtype)
     d_batch = np.empty((batch, d_out), dtype)
     grads = params.zeros_like()
     cache = None
@@ -562,25 +595,23 @@ def train(
         report.train_loss.append(sq_err_sum / entry_count)
 
         # Through the step cache, which grows once if the validation rows
-        # outnumber the batch; the output is de-normalized in place.
+        # outnumber the batch; the output is de-normalized in place and
+        # unpacked into the first error buffer.
         val_pred, cache = forward(params, x_val, cache)
-        h_hat = _rows_to_complex(invert_normalizer(tgt_nrm, val_pred, out=val_pred))
-        val_nmse = ensemble_nmse(h_hat, h_val)
+        h_hat = _rows_to_complex(invert_normalizer(tgt_nrm, val_pred, out=val_pred), scratch[0])
+        val_nmse = ensemble_nmse(h_hat, h_val, energy, scratch)
         report.val_nmse.append(val_nmse)
         report.val_nmse_db.append(nmse_db(val_nmse))
         report.epochs_run = epoch
 
         if val_nmse < best_nmse:
             best_nmse = val_nmse
-            np.copyto(best_params.flat, params.flat)
+            np.copyto(best, params.flat)
             report.best_epoch = epoch
         elif epoch - report.best_epoch > hyper.patience:
             report.stopped_early = True
             break
-
-    # A float32 value widens to float64 exactly.
-    best_params = MlpParams.from_flat(best_params.flat.astype(float, copy=False), *params.dims())
-    return best_params, normalizers, report
+    return best, report
 
 
 def predict_batch(

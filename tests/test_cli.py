@@ -5,7 +5,9 @@ import math
 import re
 import shutil
 import threading
+import tracemalloc
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from faslab.config import (
     desk_profile,
     paper_profile,
 )
-from faslab.errors import ConfigError
+from faslab.errors import ChecksumError, ConfigError
 from faslab.experiment_cli import (
     cmd_eval_single,
     cmd_generate,
@@ -676,6 +678,76 @@ class TestSweepLanes:
         one_lane = cmd_sweep(swept_models, tmp_path / "one.csv").read_bytes()
         assert started == []
         assert one_lane == two_lanes
+
+
+class TestSweepHoldsOneModel:
+    """cmd_sweep keeps only the model of the SNR it is scoring."""
+
+    @staticmethod
+    def tracked_loads(monkeypatch):
+        """Replace load_model; each entry counts the models of earlier
+        loads still alive when the load is made."""
+        refs, alive_at_load = [], []
+        load_model = experiment_cli.load_model
+
+        def tracking(path):
+            alive_at_load.append(sum(ref() is not None for ref in refs))
+            params, normalizers = load_model(path)
+            refs.extend((weakref.ref(params.flat), weakref.ref(normalizers)))
+            return params, normalizers
+
+        monkeypatch.setattr(experiment_cli, "load_model", tracking)
+        return alive_at_load
+
+    def test_no_two_per_snr_models_are_alive_at_once(self, swept_models, tmp_path, monkeypatch):
+        alive_at_load = self.tracked_loads(monkeypatch)
+        cmd_sweep(swept_models, tmp_path / "sweep.csv")
+        assert alive_at_load == [0] * len(swept_models.snr_db_list)
+
+    def test_the_mixed_model_is_loaded_once(self, tmp_path, monkeypatch):
+        cfg = micro_config(tmp_path, mixed_snr=True, snr_db_list=[0.0, 5.0, 10.0], max_epochs=1)
+        cmd_train(cfg, cmd_generate(cfg)[0])
+        alive_at_load = self.tracked_loads(monkeypatch)
+        cmd_sweep(cfg, tmp_path / "sweep.csv")
+        assert alive_at_load == [0]
+
+
+class TestCmdTrainMemory:
+    def test_peak_stays_below_twice_the_payload(self, tmp_path):
+        # 1 000 rows of 512 features and 512 targets make a 4.1 MB payload,
+        # the net (hidden width 8) about 12 KB.  Holding the loaded file
+        # next to the two parts of its split takes twice the payload; the
+        # rows themselves, the 1 MiB read chunk, fit_normalizer's float64
+        # columns (1.0 MB) and the 50 validation rows stay well below that.
+        cfg = micro_config(
+            tmp_path, num_ports=256, num_antennas=1, num_slots=256, n_train_samples=1000,
+            rho=0.05, hidden_width=8, max_epochs=1, snr_db_list=[0.0],
+        )
+        (dataset,) = cmd_generate(cfg)
+        payload = 4 * cfg.n_train_samples * (2 * 256 + 2 * 256)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cmd_train(cfg, dataset)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * payload, f"cmd_train peaked at {peak} bytes, payload {payload}"
+
+    def test_a_flipped_payload_byte_fails_before_training_and_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = micro_config(tmp_path, snr_db_list=[0.0], n_train_samples=60, max_epochs=1)
+        (dataset,) = cmd_generate(cfg)
+        raw = bytearray(dataset.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        dataset.write_bytes(bytes(raw))
+        monkeypatch.setattr(experiment_cli, "train", lambda *args: pytest.fail("trained"))
+        with pytest.raises(ChecksumError, match=re.escape(f"{dataset}: payload checksum")):
+            cmd_train(cfg, dataset)
+        for directory in (cfg.model_dir, cfg.results_dir):
+            assert not Path(directory).exists() or list(Path(directory).iterdir()) == []
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestCmdTrainConvergence:

@@ -22,6 +22,7 @@ from faslab.dataset_pipeline import (
     generate_dataset,
     invert_normalizer,
     load_dataset,
+    load_split,
     pack_complex,
     save_dataset,
     split,
@@ -79,6 +80,18 @@ class TestPacking:
         unpacked = unpack_complex(rows)
         assert unpacked.dtype == np.complex128
         assert np.array_equal(unpacked, [unpack_complex(row) for row in rows])
+
+    def test_unpack_into_a_buffer_gives_the_bits_of_the_float64_formula(self):
+        rng = np.random.default_rng(2)
+        for rows in (rng.standard_normal((4, 6)), rng.standard_normal((4, 6)).astype(np.float32)):
+            rows[0, :] = [np.inf, -0.0, np.nan, -np.inf, 0.0, -0.0]
+            out = np.full((4, 3), 7 + 7j)
+            with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part
+                got = unpack_complex(rows, out=out)
+                wide = rows.astype(float)
+                want = wide[:, :3] + 1j * wide[:, 3:]
+            assert got is out
+            assert got.tobytes() == want.tobytes()
 
     def test_unpack_rejects_odd_row_width_and_a_scalar(self):
         with pytest.raises(ValueError, match="even"):
@@ -467,6 +480,77 @@ class TestSplit:
             split(self.make_dataset(10), 0.01, np.random.default_rng(0))
         with pytest.raises(ValueError, match="rho"):
             split(self.make_dataset(10), 1.5, np.random.default_rng(0))
+
+
+class TestLoadSplit:
+    """load_split streams a FASD payload into the two parts of split."""
+
+    def saved(self, tmp_path, n=97, seed=21):
+        path = tmp_path / "ds.fasd"
+        save_dataset(generate_dataset(micro_config(), n, 0.0, seed), path)
+        return path
+
+    @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.9])
+    def test_equals_split_of_the_loaded_file_byte_for_byte(
+        self, tmp_path, monkeypatch, chunk, rho
+    ):
+        # Rows of 32 features and 32 targets (128 bytes each): 1 byte reads
+        # one row per chunk, 1000 bytes 7 rows (the last chunk of the 97
+        # holds 6), the default every row at once.
+        monkeypatch.setattr(dataset_pipeline, "_LOAD_CHUNK", chunk)
+        path = self.saved(tmp_path)
+        fingerprints = []
+
+        def rng_for(fingerprint):
+            fingerprints.append(fingerprint)
+            return np.random.default_rng(31)
+
+        got = load_split(path, rho, rng_for)
+        want = split(load_dataset(path), rho, np.random.default_rng(31))
+        assert fingerprints == [want[0].config_fingerprint]
+        for a, b in zip(got, want):
+            assert a.features.dtype == a.targets.dtype == np.float32
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.targets.tobytes() == b.targets.tobytes()
+            assert (a.config_fingerprint, a.num_ports, a.num_antennas, a.num_slots) == (
+                b.config_fingerprint, b.num_ports, b.num_antennas, b.num_slots
+            )
+
+    @pytest.mark.parametrize("where", ["features", "targets"])
+    def test_a_flipped_byte_raises_checksum_error_naming_the_file(self, tmp_path, where):
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[200 if where == "features" else -5] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError, match=f"{path}: payload checksum mismatch"):
+            load_split(path, 0.2, lambda fingerprint: np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cut", [-10, 10])
+    def test_a_truncated_or_extended_payload_raises_checksum_error(self, tmp_path, cut):
+        path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        with pytest.raises(ChecksumError, match="truncated"):
+            load_split(path, 0.2, lambda fingerprint: np.random.default_rng(0))
+
+    def test_header_errors_are_those_of_load_dataset(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[:4] = b"NOPE"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match="magic"):
+            load_split(path, 0.2, lambda fingerprint: np.random.default_rng(0))
+        path.write_bytes(bytes(raw[:50]))
+        with pytest.raises(FileFormatError, match="too short"):
+            load_split(path, 0.2, lambda fingerprint: np.random.default_rng(0))
+
+    def test_split_errors_are_those_of_split(self, tmp_path):
+        path = self.saved(tmp_path, n=10)
+        with pytest.raises(ValueError, match="degenerate"):
+            load_split(path, 0.01, lambda fingerprint: np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rho"):
+            load_split(path, 1.5, lambda fingerprint: np.random.default_rng(0))
 
 
 class TestNormalizer:

@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from faslab.mlp_estimator import (
     Normalizers,
     adam_step,
     backward,
+    channel_energy,
     count_forward_multiplies,
     count_training_cost,
     ensemble_nmse,
@@ -506,6 +508,23 @@ class TestMetrics:
         assert ensemble_nmse(h_hat, h) == pytest.approx(0.2)
 
 
+    def test_energy_and_scratch_leave_the_bits_of_the_plain_formula(self):
+        rng = np.random.default_rng(31)
+        h = rng.standard_normal((40, 24)) + 1j * rng.standard_normal((40, 24))
+        h_hat = h + 0.3 * (rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape))
+        want = float(np.sum(np.abs(h_hat - h) ** 2)) / float(np.sum(np.abs(h) ** 2))
+        assert ensemble_nmse(h_hat, h) == want
+        energy = channel_energy(h)
+        err, sq = np.empty_like(h), np.empty(h.shape)
+        assert ensemble_nmse(h_hat, h, energy, (err, sq)) == want
+        # The error may be formed in the estimate's own buffer.
+        assert ensemble_nmse(h_hat.copy(), h, energy, (h_hat, sq)) == want
+
+    def test_channel_energy_of_zero_rejected(self):
+        with pytest.raises(ValueError, match="zero energy"):
+            channel_energy(np.zeros((2, 3), dtype=complex))
+
+
 class TestComplexityCounters:
     def test_reference_dims(self):
         assert count_forward_multiplies(512, 512, 512) == 786432
@@ -633,6 +652,40 @@ class TestTrain:
             f"train() held {held[0] - base} bytes at its first step; a float64 "
             f"copy of the training rows is {float64_rows}"
         )
+
+    def test_zero_energy_validation_set_fails_before_the_first_step(self, monkeypatch):
+        train_ds = toy_dataset(64, seed=17)
+        val_ds = toy_dataset(16, seed=18)
+        val_ds = replace(val_ds, targets=np.zeros_like(val_ds.targets))
+        steps = []
+        monkeypatch.setattr(mlp_estimator, "adam_step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="zero energy"):
+            train(train_ds, val_ds, toy_hyper(), np.random.default_rng(19))
+        assert steps == []
+
+    def test_peak_is_the_rows_and_six_parameter_vectors(self):
+        # Float32, hidden width 512 over 64 + 64 columns: one parameter
+        # vector takes 1.3 MB, the float32 rows 0.16 MB.  The epochs hold
+        # five vectors (parameters, gradients, both Adam moments, the best
+        # epoch's copy); a sixth covers Adam's 256 KiB scratch, the batch
+        # buffers and activations, and four times the rows cover the
+        # float64 columns fit_normalizer widens and the validation buffers.
+        # Widening the best vector to float64 (two vectors' bytes) while the
+        # epochs' state is still alive would take seven vectors.
+        train_ds = toy_dataset(256, width_in=64, width_out=64, seed=64)
+        val_ds = toy_dataset(64, width_in=64, width_out=64, seed=65)
+        hyper = toy_hyper(hidden_width=512, batch_size=32, max_epochs=2, compute_dtype="float32")
+        n_params = init_params(64, 512, 64, np.random.default_rng(0)).flat.size
+        rows = sum(ds.features.nbytes + ds.targets.nbytes for ds in (train_ds, val_ds))
+        bound = 4 * rows + 6 * 4 * n_params
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(train_ds, val_ds, hyper, np.random.default_rng(66))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"train() peaked at {peak} bytes, the bound is {bound}"
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths"):
