@@ -66,7 +66,11 @@ def _coerce(name: str, kind: type, value):
         ok = isinstance(value, kind)
     if not ok:
         raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
-    return kind(value) if kind in (int, float) else value
+    try:
+        return kind(value) if kind in (int, float) else value
+    except OverflowError:
+        # float() of an integer beyond the float range.
+        raise ConfigError(f"{name}: got an integer out of the {kind.__name__} range") from None
 
 
 def snr_label(snr_db) -> str:

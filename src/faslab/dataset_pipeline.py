@@ -19,7 +19,6 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -44,7 +43,7 @@ _FIT_COLUMNS = 64
 _HEADER = struct.Struct("<4sHIIIQII")
 # The header, the 32-byte config fingerprint and the 32-byte payload SHA-256.
 _PAYLOAD_OFFSET = _HEADER.size + 64
-# Payload bytes per read in load_split.
+# Payload bytes per read in load_dataset and load_split.
 _LOAD_CHUNK = 1 << 20
 
 # Scalar SNR keys occupy [0, 2**32); sentinels for the mixed mode and the
@@ -610,101 +609,50 @@ def save_dataset(ds: Dataset, path) -> None:
     write_artifact(path, (header, ds.config_fingerprint, digest.digest(), feat, tgt))
 
 
-class _Header(NamedTuple):
-    """The fields of a FASD header that a loader uses."""
-
-    num_ports: int
-    num_antennas: int
-    num_slots: int
-    n_samples: int
-    feature_width: int
-    target_width: int
-    fingerprint: bytes
-    checksum: bytes
-
-    def payload_bytes(self) -> int:
-        return 4 * self.n_samples * (self.feature_width + self.target_width)
-
-    def dataset(self, features, targets) -> Dataset:
-        return Dataset(
-            features, targets, self.fingerprint, self.num_ports, self.num_antennas, self.num_slots
-        )
-
-
-def _read_header(path, raw) -> _Header:
-    """The header at the start of ``raw``, the first ``_PAYLOAD_OFFSET``
-    bytes of the file or more.  A short header, a bad magic or version, or
-    widths that disagree with the dimensions raise FileFormatError naming
-    ``path``."""
-    if len(raw) < _PAYLOAD_OFFSET:
-        raise FileFormatError(f"{path}: file too short for a dataset header")
-    magic, version, n_ports, n_ant, n_slots, n_samples, feat_w, tgt_w = _HEADER.unpack_from(
-        raw
-    )
-    if magic != MAGIC:
-        raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    # The checksum covers only the payload: a header that moves columns
-    # between the two widths keeps the payload size and would load silently.
-    _check_widths(path, n_ports, n_ant, n_slots, feat_w, tgt_w)
-    fingerprint = bytes(raw[_HEADER.size : _HEADER.size + 32])
-    checksum = bytes(raw[_HEADER.size + 32 : _PAYLOAD_OFFSET])
-    return _Header(n_ports, n_ant, n_slots, n_samples, feat_w, tgt_w, fingerprint, checksum)
-
-
 def _checksum_error(path) -> ChecksumError:
     return ChecksumError(f"{path}: payload checksum mismatch (corrupt or truncated)")
 
 
-def load_dataset(path) -> Dataset:
-    """Inverse of :func:`save_dataset` with integrity checks.
+def _load_rows(path, assign) -> tuple[Dataset, Dataset]:
+    """The rows of the FASD file ``path`` as two parts, (kept, held out).
 
-    A header whose widths disagree with its dimensions raises
-    FileFormatError naming the field; corrupt or truncated payloads raise
-    ChecksumError.  The features and targets are writable views over one
-    buffer holding the file, not copies.
-    """
-    raw = read_file_aligned(path, _PAYLOAD_OFFSET)
-    head = _read_header(path, raw)
-    payload = raw[_PAYLOAD_OFFSET:]
-    if len(payload) != head.payload_bytes() or hashlib.sha256(payload).digest() != head.checksum:
-        raise _checksum_error(path)
-    n, feat_w, tgt_w = head.n_samples, head.feature_width, head.target_width
-    features = np.frombuffer(payload, dtype="<f4", count=n * feat_w).reshape(n, feat_w)
-    targets = np.frombuffer(payload, dtype="<f4", offset=4 * n * feat_w).reshape(n, tgt_w)
-    return head.dataset(features, targets)
-
-
-def load_split(path, rho: float, rng_for) -> tuple[Dataset, Dataset]:
-    """``split(load_dataset(path), rho, rng_for(fingerprint))``, byte for
-    byte, without holding the file next to its two parts.
-
-    ``rng_for`` maps the file's config fingerprint to the generator the
-    split draws from.  The payload is read in chunks of about
-    ``_LOAD_CHUNK`` bytes; each chunk enters the SHA-256 and its rows go
-    straight to the places :func:`split` gives them in the train and
-    validation matrices.  The checksum is compared once the last chunk is
-    in: corrupt or truncated payloads raise ChecksumError, and the errors
-    of :func:`load_dataset` and :func:`split` are raised as they raise them.
+    A short header, a bad magic or version, or widths that disagree with
+    the dimensions raise FileFormatError naming ``path``; a file size that
+    is not the header's raises ChecksumError.  ``assign(n, fingerprint)``
+    then gives ``(perm, n_val)``: file row ``perm[j]`` is row ``j`` of the
+    held-out part for ``j < n_val`` and row ``j - n_val`` of the kept part
+    otherwise.  The payload is read in chunks of about ``_LOAD_CHUNK``
+    bytes; each enters the SHA-256 and its rows go straight to their
+    places.  The checksum is compared after the last chunk: corrupt or
+    truncated payloads raise ChecksumError.
     """
     with open(path, "rb") as fh:
-        head = _read_header(path, fh.read(_PAYLOAD_OFFSET))
-        if os.fstat(fh.fileno()).st_size != _PAYLOAD_OFFSET + head.payload_bytes():
+        raw = fh.read(_PAYLOAD_OFFSET)
+        if len(raw) < _PAYLOAD_OFFSET:
+            raise FileFormatError(f"{path}: file too short for a dataset header")
+        magic, version, n_ports, n_ant, n_slots, n, feat_w, tgt_w = _HEADER.unpack_from(raw)
+        if magic != MAGIC:
+            raise FileFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != VERSION:
+            raise FileFormatError(f"{path}: unsupported version {version}")
+        # The checksum covers only the payload: a header that moves columns
+        # between the two widths keeps the payload size and would load silently.
+        _check_widths(path, n_ports, n_ant, n_slots, feat_w, tgt_w)
+        fingerprint = raw[_HEADER.size : _HEADER.size + 32]
+        if os.fstat(fh.fileno()).st_size != _PAYLOAD_OFFSET + 4 * n * (feat_w + tgt_w):
             raise _checksum_error(path)
-        n = head.n_samples
-        perm, n_val = _split_rows(n, rho, rng_for(head.fingerprint))
-        # Row i of the file is row place[i] of the validation part when
-        # place[i] < n_val, and row place[i] - n_val of the training part
-        # otherwise.
+        perm, n_val = assign(n, fingerprint)
+        # File row i is row place[i] of the held-out part when place[i] <
+        # n_val, and row place[i] - n_val of the kept part otherwise.
         place = np.empty(n, dtype=np.intp)
         place[perm] = np.arange(n)
         digest = hashlib.sha256()
         parts = []
-        for width in (head.feature_width, head.target_width):
+        for width in (feat_w, tgt_w):
             val = np.empty((n_val, width), np.float32)
             trn = np.empty((n - n_val, width), np.float32)
-            rows = max(1, _LOAD_CHUNK // (4 * width))
+            # A zero-width matrix reads no bytes; its rows still number n.
+            rows = max(1, _LOAD_CHUNK // max(4 * width, 1))
             chunk = np.empty((min(rows, n), width), "<f4")
             for lo in range(0, n, rows):
                 block = chunk[: min(rows, n - lo)]
@@ -717,7 +665,33 @@ def load_split(path, rho: float, rng_for) -> tuple[Dataset, Dataset]:
                 kept = ~held_out
                 trn[dest[kept] - n_val] = block[kept]
             parts.append((trn, val))
-    if digest.digest() != head.checksum:
+    if digest.digest() != raw[_HEADER.size + 32 :]:
         raise _checksum_error(path)
     (trn_x, val_x), (trn_t, val_t) = parts
-    return head.dataset(trn_x, trn_t), head.dataset(val_x, val_t)
+    make = lambda x, t: Dataset(x, t, fingerprint, n_ports, n_ant, n_slots)
+    return make(trn_x, trn_t), make(val_x, val_t)
+
+
+def load_dataset(path) -> Dataset:
+    """Inverse of :func:`save_dataset` with integrity checks.
+
+    The file is read in chunks, as :func:`load_split` reads it, with every
+    row kept in file order.  A header whose widths disagree with its
+    dimensions raises FileFormatError naming the field; corrupt or
+    truncated payloads raise ChecksumError.  The features and targets are
+    two new float32 matrices.
+    """
+    return _load_rows(path, lambda n, fingerprint: (np.arange(n), 0))[0]
+
+
+def load_split(path, rho: float, rng_for) -> tuple[Dataset, Dataset]:
+    """``split(load_dataset(path), rho, rng_for(fingerprint))``, byte for
+    byte, without holding the file next to its two parts.
+
+    ``rng_for`` maps the file's config fingerprint to the generator the
+    split draws from, once the header is checked.  The file is read as
+    :func:`load_dataset` reads it, but each row goes straight to the place
+    :func:`split` gives it in the train or validation matrices.  The errors
+    of :func:`load_dataset` and :func:`split` are raised as they raise them.
+    """
+    return _load_rows(path, lambda n, fingerprint: _split_rows(n, rho, rng_for(fingerprint)))

@@ -166,6 +166,22 @@ class TestConfigValidation:
         assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {name}: ")
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ('{"learning_rate": 1%s}' % ("0" * 400), "learning_rate"),
+            ('{"snr_db_list": [0, 1%s]}' % ("0" * 400), "snr_db_list"),
+        ],
+        ids=["learning_rate", "snr_db_list"],
+    )
+    def test_integer_beyond_the_float_range_names_field(self, text, name, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"^{name}: .*out of the float range"):
+            ExperimentConfig.from_json(text)
+        cfg_file = tmp_path / "big.json"
+        cfg_file.write_text(text)
+        assert main(["show-config", "--profile", "desk", "--config", str(cfg_file)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name}: ")
+
     def test_negative_seed_exits_nonzero(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"seeds": {"channel": -1}}))
@@ -968,6 +984,25 @@ class TestMainEntry:
         assert capsys.readouterr().err == f"error: {in_the_way}: Is a directory\n"
         assert list(model.parent.iterdir()) == []
         assert list(in_the_way.iterdir()) == []
+
+    def test_zero_width_dataset_exits_nonzero(self, tmp_path, capsys):
+        # num_slots 0 gives feature width 0: the file loads, and the network
+        # it would train has no input.
+        path = tmp_path / "z.fasd"
+        dataset_pipeline.save_dataset(
+            dataset_pipeline.Dataset(np.zeros((100, 0)), np.ones((100, 8)), bytes(32), 4, 2, 0),
+            path,
+        )
+        model, curve = tmp_path / "m.fasm", tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the fingerprint matches no SNR point
+            rc = main([
+                "train", "--profile", "desk", "--dataset", str(path),
+                "--out", str(model), "--curve", str(curve),
+            ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: dimensions must be positive, got (0, 256, 8)\n"
+        assert not model.exists() and not curve.exists()
 
     def test_snr_whose_noise_variance_overflows_exits_nonzero(self, tmp_path, capsys):
         # 10^(4000/10) overflows a float64; -3000 dB still fits.

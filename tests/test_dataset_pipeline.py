@@ -553,6 +553,43 @@ class TestLoadSplit:
             load_split(path, 1.5, lambda fingerprint: np.random.default_rng(0))
 
 
+class TestLoadDataset:
+    """load_dataset, which reads as load_split reads, against the Dataset
+    that was saved."""
+
+    @pytest.mark.parametrize("chunk", [1, 1000, 1 << 20])
+    def test_returns_the_saved_dataset_byte_for_byte(self, tmp_path, monkeypatch, chunk):
+        # 128-byte rows, as in TestLoadSplit: 1 row, 7 rows or every row per read.
+        monkeypatch.setattr(dataset_pipeline, "_LOAD_CHUNK", chunk)
+        ds = generate_dataset(micro_config(), 97, 0.0, 23)
+        path = tmp_path / "ds.fasd"
+        save_dataset(ds, path)
+        got = load_dataset(path)
+        assert got.features.dtype == got.targets.dtype == np.float32
+        assert got.features.shape == ds.features.shape
+        assert got.targets.shape == ds.targets.shape
+        assert got.features.tobytes() == ds.features.tobytes()
+        assert got.targets.tobytes() == ds.targets.tobytes()
+        assert (got.config_fingerprint, got.num_ports, got.num_antennas, got.num_slots) == (
+            ds.config_fingerprint, ds.num_ports, ds.num_antennas, ds.num_slots
+        )
+
+    def test_zero_width_features_load_with_both_loaders(self, tmp_path):
+        # num_slots 0 makes the feature width 0: those reads take no bytes.
+        targets = np.arange(800, dtype=np.float32).reshape(100, 8)
+        ds = Dataset(np.zeros((100, 0)), targets, bytes(range(32)), 4, 2, 0)
+        path = tmp_path / "z.fasd"
+        save_dataset(ds, path)
+        got = load_dataset(path)
+        assert got.features.shape == (100, 0)
+        assert got.targets.tobytes() == targets.tobytes()
+        trn, val = load_split(path, 0.2, lambda fingerprint: np.random.default_rng(5))
+        want = split(ds, 0.2, np.random.default_rng(5))
+        for a, b in zip((trn, val), want):
+            assert a.features.shape == b.features.shape == (len(b.targets), 0)
+            assert a.targets.tobytes() == b.targets.tobytes()
+
+
 class TestNormalizer:
     def test_constant_column_maps_to_zero(self):
         m = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
