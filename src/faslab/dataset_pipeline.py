@@ -247,7 +247,9 @@ def snr_stream_key(snr_db) -> int:
 def _synth_workers() -> int:
     """Threads for :func:`draw_samples`: the CPUs in this process's affinity
     mask, capped at ``_SYNTH_WORKERS``, and 1 off the main thread, where a
-    caller such as :func:`draw_test_sets` runs threads of its own."""
+    caller such as :func:`draw_test_sets` runs threads of its own.  Every
+    helper thread in faslab (this pool, the sweep's lane, training's GEMM
+    lane) runs only where this is 2 or more."""
     if threading.current_thread() is not threading.main_thread():
         return 1
     try:
@@ -621,7 +623,8 @@ def _load_rows(path, assign) -> tuple[Dataset, Dataset]:
     is not the header's raises ChecksumError.  ``assign(n, fingerprint)``
     then gives ``(perm, n_val)``: file row ``perm[j]`` is row ``j`` of the
     held-out part for ``j < n_val`` and row ``j - n_val`` of the kept part
-    otherwise.  The payload is read in chunks of about ``_LOAD_CHUNK``
+    otherwise.  ``assign=None`` keeps every row in file order and holds
+    none out.  The payload is read in chunks of about ``_LOAD_CHUNK``
     bytes; each enters the SHA-256 and its rows go straight to their
     places.  The checksum is compared after the last chunk: corrupt or
     truncated payloads raise ChecksumError.
@@ -641,11 +644,14 @@ def _load_rows(path, assign) -> tuple[Dataset, Dataset]:
         fingerprint = raw[_HEADER.size : _HEADER.size + 32]
         if os.fstat(fh.fileno()).st_size != _PAYLOAD_OFFSET + 4 * n * (feat_w + tgt_w):
             raise _checksum_error(path)
-        perm, n_val = assign(n, fingerprint)
-        # File row i is row place[i] of the held-out part when place[i] <
-        # n_val, and row place[i] - n_val of the kept part otherwise.
-        place = np.empty(n, dtype=np.intp)
-        place[perm] = np.arange(n)
+        if assign is None:
+            place, n_val = None, 0
+        else:
+            perm, n_val = assign(n, fingerprint)
+            # File row i is row place[i] of the held-out part when place[i] <
+            # n_val, and row place[i] - n_val of the kept part otherwise.
+            place = np.empty(n, dtype=np.intp)
+            place[perm] = np.arange(n)
         digest = hashlib.sha256()
         parts = []
         for width in (feat_w, tgt_w):
@@ -659,6 +665,9 @@ def _load_rows(path, assign) -> tuple[Dataset, Dataset]:
                 if fh.readinto(block) != block.nbytes:
                     raise _checksum_error(path)
                 digest.update(block)
+                if place is None:
+                    trn[lo : lo + len(block)] = block
+                    continue
                 dest = place[lo : lo + len(block)]
                 held_out = dest < n_val
                 val[dest[held_out]] = block[held_out]
@@ -681,7 +690,7 @@ def load_dataset(path) -> Dataset:
     truncated payloads raise ChecksumError.  The features and targets are
     two new float32 matrices.
     """
-    return _load_rows(path, lambda n, fingerprint: (np.arange(n), 0))[0]
+    return _load_rows(path, None)[0]
 
 
 def load_split(path, rho: float, rng_for) -> tuple[Dataset, Dataset]:

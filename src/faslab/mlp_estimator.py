@@ -13,14 +13,22 @@ buffer of that dtype.  Float32 training starts from the float64 draw of
 widened back to float64.  Everything else is float64 whatever the training
 precision: the normalizer statistics, the reported losses and NMSEs, the
 FASM file, and inference through :func:`predict` and :func:`predict_batch`.
+
+Where BLAS runs one thread and a second CPU is free, :func:`train` splits
+the output rows of each large product over two threads (see
+:class:`_GemmLane`); no element's sum changes, so neither does any byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
+import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +37,7 @@ from .config import COMPUTE_DTYPES
 from .dataset_pipeline import (
     Dataset,
     Normalizer,
+    _synth_workers,
     apply_normalizer,
     fit_normalizer,
     invert_normalizer,
@@ -146,13 +155,16 @@ class ForwardCache:
     of buffers sized for the largest batch so far, so handing the cache back
     to :func:`forward` reuses them: the next pass through the same cache
     overwrites the previous one's output.  :func:`backward` keeps its scratch
-    here too.  The buffers take the parameters' dtype.
+    here too.  The buffers take the parameters' dtype.  ``matmul`` computes
+    every product of :func:`forward` and :func:`backward` through the cache:
+    ``np.matmul``, or a :class:`_GemmLane`'s during :func:`train`.
     """
 
     def __init__(self):
         self.x = self.a1 = self.a2 = None
         self.single = False
         self.params = None
+        self.matmul = np.matmul
         self._buffers: dict[str, np.ndarray] = {}
 
     def _rows(self, name: str, rows: int, width: int, dtype) -> np.ndarray:
@@ -186,13 +198,14 @@ def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None)
     rows = xb.shape[0]
     a1, a2 = cache._rows("a1", rows, hidden, dtype), cache._rows("a2", rows, hidden, dtype)
     y = cache._rows("y", rows, d_out, dtype)
-    np.matmul(xb, params.w1.T, out=a1)
+    matmul = cache.matmul
+    matmul(xb, params.w1.T, out=a1)
     a1 += params.b1
     np.maximum(a1, 0.0, out=a1)
-    np.matmul(a1, params.w2.T, out=a2)
+    matmul(a1, params.w2.T, out=a2)
     a2 += params.b2
     np.maximum(a2, 0.0, out=a2)
-    np.matmul(a2, params.w3.T, out=y)
+    matmul(a2, params.w3.T, out=y)
     y += params.b3
     cache.x, cache.a1, cache.a2 = xb, a1, a2
     cache.single, cache.params = single, params
@@ -256,16 +269,17 @@ def backward(
     hidden = params.w2.shape[0]
     dz2, dz1 = cache._rows("dz2", rows, hidden, dtype), cache._rows("dz1", rows, hidden, dtype)
     mask = cache._rows("mask", rows, hidden, dtype=bool)
-    np.matmul(dy.T, cache.a2, out=out.w3)
+    matmul = cache.matmul
+    matmul(dy.T, cache.a2, out=out.w3)
     np.sum(dy, axis=0, out=out.b3)
-    np.matmul(dy, params.w3, out=dz2)
+    matmul(dy, params.w3, out=dz2)
     # Multiply by the mask rather than zero through it: inf * 0 must stay NaN.
     np.multiply(dz2, np.greater(cache.a2, 0, out=mask), out=dz2)
-    np.matmul(dz2.T, cache.a1, out=out.w2)
+    matmul(dz2.T, cache.a1, out=out.w2)
     np.sum(dz2, axis=0, out=out.b2)
-    np.matmul(dz2, params.w2, out=dz1)
+    matmul(dz2, params.w2, out=dz1)
     np.multiply(dz1, np.greater(cache.a1, 0, out=mask), out=dz1)
-    np.matmul(dz1.T, cache.x, out=out.w1)
+    matmul(dz1.T, cache.x, out=out.w1)
     np.sum(dz1, axis=0, out=out.b1)
     return out
 
@@ -451,14 +465,33 @@ def instrumented_forward(params: MlpParams, x: np.ndarray):
 # -- training ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Hyperparams:
+    """What :func:`train` trains with; a value it cannot train with raises
+    ``ValueError`` naming the field when the object is built.  A learning
+    rate of 0 is allowed: it freezes the net at its initialization."""
+
     hidden_width: int
     learning_rate: float
     batch_size: int
     max_epochs: int
     patience: int
     compute_dtype: str = "float64"  # one of config.COMPUTE_DTYPES
+
+    def __post_init__(self) -> None:
+        for name in ("hidden_width", "batch_size", "max_epochs"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not self.patience >= 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience!r}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate!r}"
+            )
+        if self.compute_dtype not in COMPUTE_DTYPES:
+            raise ValueError(
+                f"compute_dtype must be one of {COMPUTE_DTYPES}, got {self.compute_dtype!r}"
+            )
 
 
 @dataclass
@@ -507,10 +540,6 @@ def train(
     ``rng`` seeds the parameter initialization and, when ``shuffle_rng`` is
     not given, the epoch shuffles too.  Returns (params, normalizers, report).
     """
-    if hyper.compute_dtype not in COMPUTE_DTYPES:
-        raise ValueError(
-            f"compute_dtype must be one of {COMPUTE_DTYPES}, got {hyper.compute_dtype!r}"
-        )
     if train_ds.n_samples < 2 or val_ds.n_samples < 1:
         raise ValueError(
             f"need >= 2 train and >= 1 validation rows, got "
@@ -529,11 +558,109 @@ def train(
     return MlpParams.from_flat(best.astype(float, copy=False), *dims), normalizers, report
 
 
+# Multiply-adds from which a product is worth two threads.  On a 2-vCPU VM
+# with one BLAS thread, a paper-shape float32 step (batch 256, every product
+# 2**26) took 15.4 ms split against 21.1 ms; a desk-shape float64 step
+# (batch 64, at most 2**22 a product) took 3.78 ms with every product split
+# against 3.24 ms.  It also keeps each half far above the sizes where
+# OpenBLAS switches kernels: a 77 x 300 x 130 product split at most of its
+# rows does not round as it does whole.
+_SPLIT_MIN = 1 << 24
+# The split falls on a multiple of this many rows, which BLAS register-tile
+# heights divide, so both halves start where a tile of the unsplit product
+# starts.  (Paper-shape products split 4 rows or more from either end gave
+# the same bits; split 1 to 3 rows from an end, they did not.)
+_SPLIT_ROWS = 16
+# The variables OpenBLAS takes its thread count from, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class _GemmLane:
+    """One helper thread, ``faslab-gemm``, for the products of training.
+
+    :meth:`matmul` is ``np.matmul(a, b, out=out)`` for 2-D operands.  When
+    the product takes :data:`_SPLIT_MIN` multiply-adds or more, the helper
+    computes the second half of the output rows while the calling thread
+    computes the first half and then waits for it.  Each output element is
+    then summed over the same operands in the same order, as one thread
+    sums it, so the result is the same to the bit.  The helper calls numpy
+    only: faslab's own calls stay on the calling thread, strictly nested.
+    An exception raised on the helper is raised again by :meth:`matmul`.
+    """
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._done = queue.SimpleQueue()
+        # A daemon, so that a lane left open cannot hold the interpreter at
+        # exit; train() joins it whatever happens.
+        self._thread = threading.Thread(target=self._serve, name="faslab-gemm", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for a, b, out in iter(self._jobs.get, None):
+            try:
+                np.matmul(a, b, out=out)
+            except BaseException as exc:  # raised again on the calling thread
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rows = a.shape[0]
+        half = rows // 2 // _SPLIT_ROWS * _SPLIT_ROWS
+        if half == 0 or rows * a.shape[1] * b.shape[1] < _SPLIT_MIN:
+            return np.matmul(a, b, out=out)
+        self._jobs.put((a[half:], b, out[half:]))
+        try:
+            np.matmul(a[:half], b, out=out[:half])
+        finally:
+            # The helper writes into ``out``: wait for it whatever happened here.
+            error = self._done.get()
+        if error is not None:
+            raise error
+        return out
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+
+
+def _gemm_lane_on(rows: int, d_in: int, hidden: int, d_out: int) -> bool:
+    """Whether :func:`train` runs a :class:`_GemmLane` for batches of
+    ``rows`` rows through a ``d_in``-``hidden``-``d_out`` net: when the
+    batch's largest product reaches :data:`_SPLIT_MIN`, the first of
+    ``_BLAS_THREAD_VARS`` that is set reads 1 (BLAS leaves the other CPUs
+    idle) and :func:`_synth_workers` finds two CPUs or more (in the affinity
+    mask, on the main thread)."""
+    blas = next((v for v in map(os.environ.get, _BLAS_THREAD_VARS) if v is not None), "")
+    return (
+        rows * hidden * max(d_in, hidden, d_out) >= _SPLIT_MIN
+        and blas.strip() == "1"
+        and _synth_workers() >= 2
+    )
+
+
+@contextlib.contextmanager
+def _gemm_lane(rows: int, d_in: int, hidden: int, d_out: int):
+    """A context manager giving the matmul for :func:`train`'s products: a
+    :class:`_GemmLane`'s, joined on exit, where :func:`_gemm_lane_on` says
+    so, and ``np.matmul`` otherwise."""
+    if not _gemm_lane_on(rows, d_in, hidden, d_out):
+        yield np.matmul
+        return
+    lane = _GemmLane()
+    try:
+        yield lane.matmul
+    finally:
+        lane.close()
+
+
 def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
     """The epochs of :func:`train`: returns the best epoch's flat parameter
     vector, in the compute dtype, and the report.  The parameters,
     gradients, Adam state, forward cache and buffers it builds die with
-    its frame."""
+    its frame; the thread of its GEMM lane, if it runs one, ends before
+    it returns or raises."""
     dtype = np.dtype(hyper.compute_dtype)
     feat_nrm, tgt_nrm = normalizers.features, normalizers.targets
     x_val = apply_normalizer(
@@ -568,49 +695,54 @@ def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
     t_batch = t_rows if t_rows.dtype == dtype else np.empty((batch, d_out), dtype)
     d_batch = np.empty((batch, d_out), dtype)
     grads = params.zeros_like()
-    cache = None
+    cache = ForwardCache()
 
-    for epoch in range(1, hyper.max_epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        sq_err_sum = 0.0
-        entry_count = 0
-        for start in range(0, n, hyper.batch_size):
-            idx = perm[start : start + hyper.batch_size]
-            rows = idx.size
-            # The indices are in range; mode="clip" lets take write `out`
-            # directly instead of through a temporary.  take does not cast,
-            # so the rows land in float32 buffers first.
-            xb = np.take(train_ds.features, idx, axis=0, out=x_rows[:rows], mode="clip")
-            tb = np.take(train_ds.targets, idx, axis=0, out=t_rows[:rows], mode="clip")
-            xb = apply_normalizer(feat_nrm, xb, out=x_batch[:rows])
-            tb = apply_normalizer(tgt_nrm, tb, out=t_batch[:rows])
-            pred, cache = forward(params, xb, cache)
-            loss, dloss = mse_loss(pred, tb, out=d_batch[:rows])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            backward(params, cache, dloss, out=grads)
-            adam_step(params, grads, state)
-            sq_err_sum += loss * pred.size
-            entry_count += pred.size
-        report.train_loss.append(sq_err_sum / entry_count)
+    # The lane's thread is joined when the epochs end, however they end.
+    with _gemm_lane(batch, d_in, hyper.hidden_width, d_out) as matmul:
+        cache.matmul = matmul
+        for epoch in range(1, hyper.max_epochs + 1):
+            perm = shuffle_rng.permutation(n)
+            sq_err_sum = 0.0
+            entry_count = 0
+            for start in range(0, n, hyper.batch_size):
+                idx = perm[start : start + hyper.batch_size]
+                rows = idx.size
+                # The indices are in range; mode="clip" lets take write `out`
+                # directly instead of through a temporary.  take does not cast,
+                # so the rows land in float32 buffers first.
+                xb = np.take(train_ds.features, idx, axis=0, out=x_rows[:rows], mode="clip")
+                tb = np.take(train_ds.targets, idx, axis=0, out=t_rows[:rows], mode="clip")
+                xb = apply_normalizer(feat_nrm, xb, out=x_batch[:rows])
+                tb = apply_normalizer(tgt_nrm, tb, out=t_batch[:rows])
+                pred, cache = forward(params, xb, cache)
+                loss, dloss = mse_loss(pred, tb, out=d_batch[:rows])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(epoch)
+                backward(params, cache, dloss, out=grads)
+                adam_step(params, grads, state)
+                sq_err_sum += loss * pred.size
+                entry_count += pred.size
+            report.train_loss.append(sq_err_sum / entry_count)
 
-        # Through the step cache, which grows once if the validation rows
-        # outnumber the batch; the output is de-normalized in place and
-        # unpacked into the first error buffer.
-        val_pred, cache = forward(params, x_val, cache)
-        h_hat = _rows_to_complex(invert_normalizer(tgt_nrm, val_pred, out=val_pred), scratch[0])
-        val_nmse = ensemble_nmse(h_hat, h_val, energy, scratch)
-        report.val_nmse.append(val_nmse)
-        report.val_nmse_db.append(nmse_db(val_nmse))
-        report.epochs_run = epoch
+            # Through the step cache, which grows once if the validation rows
+            # outnumber the batch; the output is de-normalized in place and
+            # unpacked into the first error buffer.
+            val_pred, cache = forward(params, x_val, cache)
+            h_hat = _rows_to_complex(
+                invert_normalizer(tgt_nrm, val_pred, out=val_pred), scratch[0]
+            )
+            val_nmse = ensemble_nmse(h_hat, h_val, energy, scratch)
+            report.val_nmse.append(val_nmse)
+            report.val_nmse_db.append(nmse_db(val_nmse))
+            report.epochs_run = epoch
 
-        if val_nmse < best_nmse:
-            best_nmse = val_nmse
-            np.copyto(best, params.flat)
-            report.best_epoch = epoch
-        elif epoch - report.best_epoch > hyper.patience:
-            report.stopped_early = True
-            break
+            if val_nmse < best_nmse:
+                best_nmse = val_nmse
+                np.copyto(best, params.flat)
+                report.best_epoch = epoch
+            elif epoch - report.best_epoch > hyper.patience:
+                report.stopped_early = True
+                break
     return best, report
 
 

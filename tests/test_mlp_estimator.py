@@ -1,6 +1,9 @@
 """Tests for the from-scratch MLP: forward/backward, Adam, training, metrics."""
 
 import hashlib
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -687,6 +690,26 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < bound, f"train() peaked at {peak} bytes, the bound is {bound}"
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("hidden_width", 0),
+            ("batch_size", 0),
+            ("batch_size", -3),
+            ("max_epochs", 0),
+            ("patience", -1),
+            ("learning_rate", -1e-3),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            ("compute_dtype", "float16"),
+        ],
+    )
+    def test_hyperparams_out_of_range_rejected_when_built(self, field_name, value):
+        # max_epochs=0 used to return the untrained initialization and
+        # batch_size=0 to fail inside range(); each now names its field.
+        with pytest.raises(ValueError, match=field_name):
+            toy_hyper(**{field_name: value})
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="widths"):
             train(
@@ -814,6 +837,213 @@ class TestFloat32:
             f"one float32 step peaked {step_peak} bytes above its start; a float64 "
             f"batch is {float64_batch}"
         )
+
+
+def paper_dataset(n, seed):
+    """Rows of the paper profile's widths: 2 * 64 slots * 4 antennas
+    features, 2 * 256 port targets."""
+    return toy_dataset(n, width_in=512, width_out=512, seed=seed)
+
+
+def gemm_threads():
+    return [t for t in threading.enumerate() if t.name == "faslab-gemm"]
+
+
+def counted_lane(jobs):
+    """A started GEMM lane that appends each product it splits to ``jobs``."""
+    lane = mlp_estimator._GemmLane()
+    put = lane._jobs.put
+    lane._jobs = SimpleNamespace(put=lambda job: (job is None or jobs.append(job), put(job)))
+    return lane
+
+
+class TestGemmLane:
+    """The helper thread train() splits large products over: same bytes, no
+    thread left behind, and only where a CPU would otherwise sit idle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_split_products_are_bit_equal(self, monkeypatch, dtype):
+        # Every product forward and backward compute at paper dims, the
+        # transposed dy.T, dz2.T and dz1.T included, on a full 256-row batch,
+        # a 51-row last batch and 205 validation rows.  With the size bound
+        # lifted, each of the eight products per pass is split.
+        monkeypatch.setattr(mlp_estimator, "_SPLIT_MIN", 0)
+        p = random_net(512, 512, 512, 80)
+        if dtype == np.float32:
+            p = float32_net(p)
+        rng = np.random.default_rng(81)
+        jobs = []
+        lane = counted_lane(jobs)
+        try:
+            split_cache = ForwardCache()
+            split_cache.matmul = lane.matmul
+            for rows in (256, 51, 205):
+                x = rng.standard_normal((rows, 512)).astype(dtype)
+                d_out = rng.standard_normal((rows, 512)).astype(dtype)
+                y, cache = forward(p, x)
+                grads = backward(p, cache, d_out)
+                del jobs[:]
+                y_split, _ = forward(p, x, split_cache)
+                grads_split = backward(p, split_cache, d_out, out=p.zeros_like())
+                assert len(jobs) == 8, rows
+                assert np.array_equal(y_split, y), rows
+                for name in _FIELDS:
+                    assert np.array_equal(getattr(grads_split, name), getattr(grads, name)), (
+                        rows, name
+                    )
+        finally:
+            lane.close()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_train_writes_the_same_bytes_with_the_lane_on_and_off(
+        self, monkeypatch, tmp_path, dtype
+    ):
+        # 307 rows at batch 256 leave a 51-row last batch; 205 validation rows.
+        train_ds, val_ds = paper_dataset(307, seed=82), paper_dataset(205, seed=83)
+        hyper = Hyperparams(
+            hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=3,
+            patience=5, compute_dtype=dtype,
+        )
+        seen = []
+
+        def watched_forward(*args, **kwargs):
+            seen.append(len(gemm_threads()))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(mlp_estimator, "forward", watched_forward)
+        written = {}
+        for on in (False, True):
+            monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims, on=on: on)
+            del seen[:]
+            params, normalizers, report = train(
+                train_ds, val_ds, hyper, np.random.default_rng(84), np.random.default_rng(85)
+            )
+            assert set(seen) == {int(on)}
+            save_model(tmp_path / "m.fasm", params, normalizers)
+            written[on] = ((tmp_path / "m.fasm").read_bytes(), report_to_csv(report))
+        assert written[True] == written[False]
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims: True)
+        hyper = Hyperparams(
+            hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=1, patience=0
+        )
+        train(paper_dataset(300, 86), paper_dataset(40, 87), hyper, np.random.default_rng(88))
+        assert gemm_threads() == []
+        # A NaN row makes the first loss NaN.
+        nan_ds = paper_dataset(300, 89)
+        nan_ds.features[7, 3] = np.nan
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(TrainingDivergedError):
+                train(nan_ds, paper_dataset(40, 90), hyper, np.random.default_rng(91))
+        assert gemm_threads() == []
+
+    def test_an_error_on_the_helper_reaches_the_caller(self, monkeypatch):
+        real_matmul = np.matmul
+
+        def matmul(a, b, out):
+            if threading.current_thread().name == "faslab-gemm":
+                raise FloatingPointError("raised on the helper")
+            return real_matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        a, b = np.ones((256, 512)), np.ones((512, 512))
+        lane = mlp_estimator._GemmLane()
+        try:
+            with pytest.raises(FloatingPointError, match="on the helper"):
+                lane.matmul(a, b, out=np.empty((256, 512)))
+            assert lane._thread.is_alive()
+        finally:
+            lane.close()
+        assert not lane._thread.is_alive()
+        # Through train(): the error ends training, and the thread with it.
+        monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims: True)
+        hyper = Hyperparams(
+            hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=1, patience=0
+        )
+        with pytest.raises(FloatingPointError, match="on the helper"):
+            train(paper_dataset(300, 92), paper_dataset(40, 93), hyper,
+                  np.random.default_rng(94))
+        assert gemm_threads() == []
+
+    def test_stress_with_a_short_switch_interval_stays_bit_equal(self):
+        # Three callers, each with its own lane: six threads on the CPUs of
+        # the machine, handing off as often as the interpreter lets them.
+        rng = np.random.default_rng(95)
+        cases = []
+        for dtype in (np.float32, np.float64):
+            a = rng.standard_normal((256, 512)).astype(dtype)
+            b = rng.standard_normal((512, 512)).astype(dtype)
+            for lhs in (a, a[:205], np.ascontiguousarray(b.T).T[:, :256].T):
+                cases.append((lhs, b, lhs @ b))
+        failures = []
+        deadline = time.monotonic() + 1.5
+
+        def caller():
+            lane = mlp_estimator._GemmLane()
+            try:
+                while time.monotonic() < deadline:
+                    for lhs, rhs, expected in cases:
+                        out = np.full(expected.shape, np.nan, expected.dtype)
+                        if not np.array_equal(lane.matmul(lhs, rhs, out=out), expected):
+                            failures.append(lhs.shape)
+            finally:
+                lane.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert failures == []
+        assert gemm_threads() == []
+
+    def test_lane_only_where_a_cpu_would_sit_idle(self, monkeypatch):
+        paper, desk = (256, 512, 512, 512), (64, 128, 256, 128)
+        monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0, 1})
+        for name in mlp_estimator._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        assert not mlp_estimator._gemm_lane_on(*paper)  # BLAS may use every CPU
+        for name in mlp_estimator._BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "2")
+            assert not mlp_estimator._gemm_lane_on(*paper), name
+            monkeypatch.setenv(name, "1")
+            assert mlp_estimator._gemm_lane_on(*paper), name
+            monkeypatch.delenv(name)
+        # The first variable that is set decides.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert not mlp_estimator._gemm_lane_on(*paper)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert mlp_estimator._gemm_lane_on(*paper)
+        # Desk dims: the largest product (64 x 256 x 256) stays below the bound.
+        assert not mlp_estimator._gemm_lane_on(*desk)
+        off_main = []
+        t = threading.Thread(target=lambda: off_main.append(mlp_estimator._gemm_lane_on(*paper)))
+        t.start()
+        t.join(timeout=10)
+        assert off_main == [False]
+        monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0})
+        assert not mlp_estimator._gemm_lane_on(*paper)
+
+    def test_desk_training_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        started = []
+        monkeypatch.setattr(mlp_estimator._GemmLane, "__init__", lambda self: started.append(1))
+        hyper = Hyperparams(
+            hidden_width=256, learning_rate=7e-4, batch_size=64, max_epochs=1, patience=0
+        )
+        train(toy_dataset(200, width_in=128, width_out=128, seed=96),
+              toy_dataset(400, width_in=128, width_out=128, seed=97), hyper,
+              np.random.default_rng(98))
+        assert started == []
 
 
 class TestPredict:
