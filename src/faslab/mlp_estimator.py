@@ -14,14 +14,18 @@ widened back to float64.  Everything else is float64 whatever the training
 precision: the normalizer statistics, the reported losses and NMSEs, the
 FASM file, and inference through :func:`predict` and :func:`predict_batch`.
 
-Where BLAS runs one thread and a second CPU is free, :func:`train` splits
-the output rows of each large product over two threads (see
-:class:`_GemmLane`); no element's sum changes, so neither does any byte.
+Where BLAS runs one thread and a second CPU is free, :func:`train` gives
+one helper thread the second half of each step (see :class:`_GemmLane`):
+the batch rows from a split row on through forward's three layers and
+backward's upstream chain, the second output-row half of the three
+weight-gradient products, and the second half of Adam's flat vector.  No
+element's sum changes, so neither does any byte.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import math
@@ -155,16 +159,16 @@ class ForwardCache:
     of buffers sized for the largest batch so far, so handing the cache back
     to :func:`forward` reuses them: the next pass through the same cache
     overwrites the previous one's output.  :func:`backward` keeps its scratch
-    here too.  The buffers take the parameters' dtype.  ``matmul`` computes
-    every product of :func:`forward` and :func:`backward` through the cache:
-    ``np.matmul``, or a :class:`_GemmLane`'s during :func:`train`.
+    here too.  The buffers take the parameters' dtype.  ``lane`` is None, or
+    during :func:`train` the :class:`_GemmLane` that :func:`forward` and
+    :func:`backward` hand half of their rows to.
     """
 
     def __init__(self):
         self.x = self.a1 = self.a2 = None
         self.single = False
         self.params = None
-        self.matmul = np.matmul
+        self.lane = None
         self._buffers: dict[str, np.ndarray] = {}
 
     def _rows(self, name: str, rows: int, width: int, dtype) -> np.ndarray:
@@ -198,18 +202,23 @@ def forward(params: MlpParams, x: np.ndarray, cache: ForwardCache | None = None)
     rows = xb.shape[0]
     a1, a2 = cache._rows("a1", rows, hidden, dtype), cache._rows("a2", rows, hidden, dtype)
     y = cache._rows("y", rows, d_out, dtype)
-    matmul = cache.matmul
-    matmul(xb, params.w1.T, out=a1)
-    a1 += params.b1
-    np.maximum(a1, 0.0, out=a1)
-    matmul(a1, params.w2.T, out=a2)
-    a2 += params.b2
-    np.maximum(a2, 0.0, out=a2)
-    matmul(a2, params.w3.T, out=y)
-    y += params.b3
+    half = _split_row(rows, d_in * hidden, hidden * hidden, hidden * d_out)
+    _by_rows(cache.lane, half, functools.partial(_layers, params), xb, a1, a2, y)
     cache.x, cache.a1, cache.a2 = xb, a1, a2
     cache.single, cache.params = single, params
     return (y[0] if single else y), cache
+
+
+def _layers(params: MlpParams, x, a1, a2, y) -> None:
+    """The three layers of :func:`forward` over some rows of its buffers."""
+    np.matmul(x, params.w1.T, out=a1)
+    a1 += params.b1
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, params.w2.T, out=a2)
+    a2 += params.b2
+    np.maximum(a2, 0.0, out=a2)
+    np.matmul(a2, params.w3.T, out=y)
+    y += params.b3
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray, out: np.ndarray | None = None):
@@ -269,26 +278,52 @@ def backward(
     hidden = params.w2.shape[0]
     dz2, dz1 = cache._rows("dz2", rows, hidden, dtype), cache._rows("dz1", rows, hidden, dtype)
     mask = cache._rows("mask", rows, hidden, dtype=bool)
-    matmul = cache.matmul
-    matmul(dy.T, cache.a2, out=out.w3)
-    np.sum(dy, axis=0, out=out.b3)
-    matmul(dy, params.w3, out=dz2)
-    # Multiply by the mask rather than zero through it: inf * 0 must stay NaN.
-    np.multiply(dz2, np.greater(cache.a2, 0, out=mask), out=dz2)
-    matmul(dz2.T, cache.a1, out=out.w2)
-    np.sum(dz2, axis=0, out=out.b2)
-    matmul(dz2, params.w2, out=dz1)
-    np.multiply(dz1, np.greater(cache.a1, 0, out=mask), out=dz1)
-    matmul(dz1.T, cache.x, out=out.w1)
-    np.sum(dz1, axis=0, out=out.b1)
+    lane = cache.lane
+    half = _split_row(rows, dy.shape[1] * hidden, hidden * hidden)
+    _by_rows(lane, half, functools.partial(_upstream, params), dy, cache.a2, cache.a1, dz2, dz1,
+             mask)
+    # Each weight gradient sums over the batch rows, so a lane splits it by
+    # its own output rows instead; the bias sums stay whole, on this thread.
+    products = ((dy.T, cache.a2, out.w3), (dz2.T, cache.a1, out.w2), (dz1.T, cache.x, out.w1))
+    sums = ((dy, out.b3), (dz2, out.b2), (dz1, out.b1))
+    halves = [_split_row(a.shape[0], a.shape[1] * b.shape[1]) for a, b, _ in products]
+    if lane is None or not all(halves):
+        _param_grads(products, [slice(None)] * 3, sums)
+    else:
+        lane.both(
+            functools.partial(_param_grads, products, [slice(h) for h in halves], sums),
+            functools.partial(_param_grads, products, [slice(h, None) for h in halves]),
+        )
     return out
 
 
-# Elements per in-place Adam block: 256 KiB per operand, so the scratch and
-# the block's slices of the parameters, gradients and moments stay in cache.
-# Against one whole-array pass it trains faster at desk and paper shapes and
-# needs 0.5 MB of scratch, not two parameter-sized vectors.
-_ADAM_BLOCK = 32768
+def _upstream(params: MlpParams, dy, a2, a1, dz2, dz1, mask) -> None:
+    """dz2 and dz1 of :func:`backward`, masked, over some rows of its buffers."""
+    np.matmul(dy, params.w3, out=dz2)
+    # Multiply by the mask rather than zero through it: inf * 0 must stay NaN.
+    np.multiply(dz2, np.greater(a2, 0, out=mask), out=dz2)
+    np.matmul(dz2, params.w2, out=dz1)
+    np.multiply(dz1, np.greater(a1, 0, out=mask), out=dz1)
+
+
+def _param_grads(products, rows, sums=()) -> None:
+    """``np.matmul(a[r], b, out=out[r])`` for each (a, b, out) of
+    ``products`` and slice r of ``rows``, then ``np.sum(array, axis=0,
+    out=out)`` for each (array, out) of ``sums``."""
+    for (a, b, out), r in zip(products, rows):
+        np.matmul(a[r], b, out=out[r])
+    for array, out in sums:
+        np.sum(array, axis=0, out=out)
+
+
+# Bytes per operand of an in-place Adam block, in every dtype (65 536
+# float32 or 32 768 float64 elements): the scratch and the block's slices
+# of the parameters, gradients and moments stay in cache.  Against one
+# whole-array pass it trains faster at desk and paper shapes and needs
+# 0.5 MB of scratch per thread, not two parameter-sized vectors.  Blocks
+# half this size gained little on two threads: between their short numpy
+# calls the two threads mostly traded the interpreter lock.
+_ADAM_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -303,12 +338,14 @@ class AdamState:
     beta2: float = 0.999
     eps_hat: float = 1e-8
     # adam_step's scratch, in the moments' dtype, so that an update allocates
-    # nothing.
+    # nothing: one pair of block-sized vectors for each of the two threads
+    # that a lane runs it on.
     _scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         flat = self.first_moment.flat
-        self._scratch = np.empty((2, min(flat.size, _ADAM_BLOCK)), dtype=flat.dtype)
+        block = min(flat.size, _ADAM_BLOCK_BYTES // flat.itemsize)
+        self._scratch = np.empty((2, 2, block), dtype=flat.dtype)
 
     @classmethod
     def for_params(cls, params: MlpParams, learning_rate: float, *constants) -> "AdamState":
@@ -316,41 +353,60 @@ class AdamState:
         return cls(params.zeros_like(), params.zeros_like(), 0, learning_rate, *constants)
 
 
-def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
+def adam_step(
+    params: MlpParams, grads: MlpParams, state: AdamState, lane: _GemmLane | None = None
+):
     """One bias-corrected Adam update, in place; returns (params, state).
 
-    Walks ``flat`` in blocks through the state's two scratch vectors, so no
+    Walks ``flat`` in blocks through the state's scratch vectors, so no
     array is allocated.  Each element sees the same operations in the same
     order as the whole-array form m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
     theta -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so the result is bit-identical.
     Every gradient is checked before anything is updated: a non-finite one
     raises ``ValueError`` naming its field and leaves the state untouched.
     The update runs in the dtype that the parameters, gradients and moments
-    share.
+    share.  Given a :class:`_GemmLane`, it updates the second half of
+    ``flat`` on the lane's helper while this thread updates the first; every
+    element still sees the same operations, so the bytes are the same.
     """
     nets = (params, grads, state.first_moment, state.second_moment)
     if len({(net.dims(), net.flat.dtype) for net in nets}) != 1:
         raise ValueError("parameters, gradients and moments differ in dims or dtype")
-    moments = nets[2:]
-    theta, grad = params.flat, grads.flat
-    blocks = [slice(lo, lo + _ADAM_BLOCK) for lo in range(0, theta.size, _ADAM_BLOCK)]
+    grad = grads.flat
+    block = state._scratch.shape[2]
     # The finiteness flags of a block go into the scratch's bytes, viewed as bools.
-    finite = state._scratch[0].view(bool)
-    for block in blocks:
-        g = grad[block]
+    finite = state._scratch[0, 0].view(bool)
+    for lo in range(0, grad.size, block):
+        g = grad[lo : lo + block]
         if not np.isfinite(g, out=finite[: g.size]).all():
             for name in _PARAM_FIELDS:
                 if not np.all(np.isfinite(getattr(grads, name))):
                     raise ValueError(f"non-finite gradient in {name}")
     state.step_count += 1
+    vectors = [net.flat for net in nets]
+    if lane is None:
+        _adam_update(state, state._scratch[0], *vectors)
+    else:
+        mid = grad.size // 2
+        lane.both(
+            functools.partial(_adam_update, state, state._scratch[0], *(v[:mid] for v in vectors)),
+            functools.partial(_adam_update, state, state._scratch[1], *(v[mid:] for v in vectors)),
+        )
+    return params, state
+
+
+def _adam_update(state: AdamState, scratch, theta, grad, first, second) -> None:
+    """The update of :func:`adam_step` at ``state.step_count`` over
+    stretches of the flat parameter, gradient and moment vectors, block by
+    block through the pair of vectors ``scratch``."""
     t = state.step_count
     beta1, beta2 = state.beta1, state.beta2
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    first, second = (moment.flat for moment in moments)
-    for block in blocks:
-        g, m, v, p = grad[block], first[block], second[block], theta[block]
-        a, b = state._scratch[:, : g.size]
+    block = scratch.shape[1]
+    for lo in range(0, theta.size, block):
+        g, m, v, p = (vec[lo : lo + block] for vec in (grad, first, second, theta))
+        a, b = scratch[:, : g.size]
         m *= beta1
         m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
@@ -361,7 +417,6 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState):
         a /= b
         a *= state.learning_rate
         p -= a
-    return params, state
 
 
 # -- metrics ---------------------------------------------------------------
@@ -576,16 +631,17 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 
 
 class _GemmLane:
-    """One helper thread, ``faslab-gemm``, for the products of training.
+    """One helper thread, ``faslab-gemm``, that takes half of training's work.
 
-    :meth:`matmul` is ``np.matmul(a, b, out=out)`` for 2-D operands.  When
-    the product takes :data:`_SPLIT_MIN` multiply-adds or more, the helper
-    computes the second half of the output rows while the calling thread
-    computes the first half and then waits for it.  Each output element is
-    then summed over the same operands in the same order, as one thread
-    sums it, so the result is the same to the bit.  The helper calls numpy
-    only: faslab's own calls stay on the calling thread, strictly nested.
-    An exception raised on the helper is raised again by :meth:`matmul`.
+    :meth:`both` runs one job on the calling thread while the helper runs
+    another, then waits for the helper.  :func:`forward` and
+    :func:`backward` give it the rows from a split row on (see
+    :func:`_split_row`), and :func:`adam_step` the second half of the flat
+    vector.  Each element is then computed from the same operands in the
+    same order as on one thread, so the result is the same to the bit.
+    The helper's jobs do numpy work only: faslab's public functions run on
+    the calling thread, strictly nested.  An exception raised on the helper is
+    raised again by :meth:`both`.
     """
 
     def __init__(self):
@@ -597,32 +653,53 @@ class _GemmLane:
         self._thread.start()
 
     def _serve(self) -> None:
-        for a, b, out in iter(self._jobs.get, None):
+        for job in iter(self._jobs.get, None):
             try:
-                np.matmul(a, b, out=out)
+                job()
             except BaseException as exc:  # raised again on the calling thread
                 self._done.put(exc)
             else:
                 self._done.put(None)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        rows = a.shape[0]
-        half = rows // 2 // _SPLIT_ROWS * _SPLIT_ROWS
-        if half == 0 or rows * a.shape[1] * b.shape[1] < _SPLIT_MIN:
-            return np.matmul(a, b, out=out)
-        self._jobs.put((a[half:], b, out[half:]))
+    def both(self, here, there) -> None:
+        """``here()`` on the calling thread while the helper runs ``there()``;
+        returns once both are done."""
+        self._jobs.put(there)
         try:
-            np.matmul(a[:half], b, out=out[:half])
+            here()
         finally:
-            # The helper writes into ``out``: wait for it whatever happened here.
+            # The helper writes into the caller's arrays: wait for it
+            # whatever happened here.
             error = self._done.get()
         if error is not None:
             raise error
-        return out
 
     def close(self) -> None:
         self._jobs.put(None)
         self._thread.join()
+
+
+def _split_row(rows: int, *sizes: int) -> int:
+    """The row at which a lane splits a chain of products with ``rows``
+    output rows each, whose other two dimensions multiply to ``sizes``: a
+    multiple of :data:`_SPLIT_ROWS` near the middle, or 0 (no split) when
+    that is 0 or a product takes fewer than :data:`_SPLIT_MIN`
+    multiply-adds."""
+    half = rows // 2 // _SPLIT_ROWS * _SPLIT_ROWS
+    return half if all(rows * size >= _SPLIT_MIN for size in sizes) else 0
+
+
+def _by_rows(lane: _GemmLane | None, half: int, job, *arrays) -> None:
+    """``job(*arrays)``; with a lane and a split row ``half`` other than 0,
+    ``job`` over the arrays' rows before ``half`` here and over the rest on
+    the lane's helper."""
+    if lane is None or half == 0:
+        job(*arrays)
+    else:
+        lane.both(
+            functools.partial(job, *(a[:half] for a in arrays)),
+            functools.partial(job, *(a[half:] for a in arrays)),
+        )
 
 
 def _gemm_lane_on(rows: int, d_in: int, hidden: int, d_out: int) -> bool:
@@ -642,15 +719,15 @@ def _gemm_lane_on(rows: int, d_in: int, hidden: int, d_out: int) -> bool:
 
 @contextlib.contextmanager
 def _gemm_lane(rows: int, d_in: int, hidden: int, d_out: int):
-    """A context manager giving the matmul for :func:`train`'s products: a
-    :class:`_GemmLane`'s, joined on exit, where :func:`_gemm_lane_on` says
-    so, and ``np.matmul`` otherwise."""
+    """A context manager giving :func:`train`'s lane: a :class:`_GemmLane`,
+    joined on exit, where :func:`_gemm_lane_on` says so, and None
+    otherwise."""
     if not _gemm_lane_on(rows, d_in, hidden, d_out):
-        yield np.matmul
+        yield None
         return
     lane = _GemmLane()
     try:
-        yield lane.matmul
+        yield lane
     finally:
         lane.close()
 
@@ -698,8 +775,8 @@ def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
     cache = ForwardCache()
 
     # The lane's thread is joined when the epochs end, however they end.
-    with _gemm_lane(batch, d_in, hyper.hidden_width, d_out) as matmul:
-        cache.matmul = matmul
+    with _gemm_lane(batch, d_in, hyper.hidden_width, d_out) as lane:
+        cache.lane = lane
         for epoch in range(1, hyper.max_epochs + 1):
             perm = shuffle_rng.permutation(n)
             sq_err_sum = 0.0
@@ -719,7 +796,7 @@ def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(epoch)
                 backward(params, cache, dloss, out=grads)
-                adam_step(params, grads, state)
+                adam_step(params, grads, state, lane)
                 sq_err_sum += loss * pred.size
                 entry_count += pred.size
             report.train_loss.append(sq_err_sum / entry_count)

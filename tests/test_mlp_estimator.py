@@ -446,6 +446,68 @@ class TestAdamStep:
         assert np.array_equal(p.flat, before.flat)
         assert not state.first_moment.flat.any() and not state.second_moment.flat.any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_update_through_a_lane_is_bit_equal(self, dtype):
+        # Net sizes: the smallest net (6 parameters; no net holds fewer), 17,
+        # one Adam block and one element either side, desk and paper.
+        block = mlp_estimator._ADAM_BLOCK_BYTES // np.dtype(dtype).itemsize
+        dims = [(n - 5, 1, 1) for n in (6, 17, block - 1, block, block + 1)]
+        dims += [(128, 256, 128), (512, 512, 512)]
+        sizes = [init_params(*d, np.random.default_rng(0)).flat.size for d in dims]
+        assert sizes == [6, 17, block - 1, block, block + 1, 131_712, 787_968]
+        rng = np.random.default_rng(27)
+        lane = mlp_estimator._GemmLane()
+        try:
+            for d in dims:
+                start = random_net(*d, 28)
+                if dtype == np.float32:
+                    start = float32_net(start)
+                nets = [start.copy(), start.copy()]
+                states = [AdamState.for_params(net, 3e-3, 0.85, 0.995, 1e-7) for net in nets]
+                grads = start.zeros_like()
+                for _ in range(3):
+                    size = grads.flat.size
+                    grads.flat[...] = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 6, size)
+                    grads.flat[rng.integers(0, size, 3)] = 0.0
+                    grads.flat[rng.integers(0, size, 3)] = -0.0
+                    adam_step(nets[0], grads, states[0])
+                    adam_step(nets[1], grads, states[1], lane)
+                    assert states[0].step_count == states[1].step_count
+                    for whole, split in (
+                        (nets[0], nets[1]),
+                        (states[0].first_moment, states[1].first_moment),
+                        (states[0].second_moment, states[1].second_moment),
+                    ):
+                        assert np.array_equal(split.flat, whole.flat), d
+            assert lane._thread.is_alive()
+        finally:
+            lane.close()
+
+    @pytest.mark.parametrize("name", ["w1", "b3"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nonfinite_gradient_through_a_lane_changes_nothing(self, dtype, name):
+        # Paper dims: the bad entry ends w1, in the half of the flat vector
+        # this thread would update, or b3, in the helper's half.
+        p = random_net(512, 512, 512, 29)
+        if dtype == np.float32:
+            p = float32_net(p)
+        state = AdamState.for_params(p, 1e-3)
+        grads = p.zeros_like()
+        grads.flat[...] = np.random.default_rng(30).standard_normal(grads.flat.size)
+        lane = mlp_estimator._GemmLane()
+        try:
+            adam_step(p, grads, state, lane)
+            before = [net.flat.copy() for net in (p, state.first_moment, state.second_moment)]
+            getattr(grads, name).flat[-1] = np.nan
+            with pytest.raises(ValueError, match=f"non-finite gradient in {name}"):
+                adam_step(p, grads, state, lane)
+            assert state.step_count == 1
+            for net, kept in zip((p, state.first_moment, state.second_moment), before):
+                assert np.array_equal(net.flat, kept)
+            assert lane._thread.is_alive()
+        finally:
+            lane.close()
+
     def test_blocked_update_is_bit_equal_to_per_field_reference(self):
         # 48 370 parameters: more than one block, and not a multiple of it.
         p = random_net(100, 150, 70, 24)
@@ -670,7 +732,7 @@ class TestTrain:
         # Float32, hidden width 512 over 64 + 64 columns: one parameter
         # vector takes 1.3 MB, the float32 rows 0.16 MB.  The epochs hold
         # five vectors (parameters, gradients, both Adam moments, the best
-        # epoch's copy); a sixth covers Adam's 256 KiB scratch, the batch
+        # epoch's copy); a sixth covers Adam's 1 MiB of scratch, the batch
         # buffers and activations, and four times the rows cover the
         # float64 columns fit_normalizer widens and the validation buffers.
         # Widening the best vector to float64 (two vectors' bytes) while the
@@ -849,8 +911,23 @@ def gemm_threads():
     return [t for t in threading.enumerate() if t.name == "faslab-gemm"]
 
 
+def whole_step(start, x, target, lane):
+    """One training step (forward, loss, backward, Adam) on a copy of the
+    net ``start`` through ``lane``: the output, the gradients, and the
+    parameters and both moments after the update."""
+    params = start.copy()
+    state = AdamState.for_params(params, 1e-3)
+    cache = ForwardCache()
+    cache.lane = lane
+    y, cache = forward(params, x, cache)
+    _, dloss = mse_loss(y, target)
+    grads = backward(params, cache, dloss)
+    adam_step(params, grads, state, lane)
+    return y, grads.flat, params.flat, state.first_moment.flat, state.second_moment.flat
+
+
 def counted_lane(jobs):
-    """A started GEMM lane that appends each product it splits to ``jobs``."""
+    """A started GEMM lane that appends each job it hands its helper to ``jobs``."""
     lane = mlp_estimator._GemmLane()
     put = lane._jobs.put
     lane._jobs = SimpleNamespace(put=lambda job: (job is None or jobs.append(job), put(job)))
@@ -866,7 +943,8 @@ class TestGemmLane:
         # Every product forward and backward compute at paper dims, the
         # transposed dy.T, dz2.T and dz1.T included, on a full 256-row batch,
         # a 51-row last batch and 205 validation rows.  With the size bound
-        # lifted, each of the eight products per pass is split.
+        # lifted, each pass hands the helper three jobs: forward's rows,
+        # backward's upstream rows, and the weight gradients' output rows.
         monkeypatch.setattr(mlp_estimator, "_SPLIT_MIN", 0)
         p = random_net(512, 512, 512, 80)
         if dtype == np.float32:
@@ -876,7 +954,7 @@ class TestGemmLane:
         lane = counted_lane(jobs)
         try:
             split_cache = ForwardCache()
-            split_cache.matmul = lane.matmul
+            split_cache.lane = lane
             for rows in (256, 51, 205):
                 x = rng.standard_normal((rows, 512)).astype(dtype)
                 d_out = rng.standard_normal((rows, 512)).astype(dtype)
@@ -885,7 +963,7 @@ class TestGemmLane:
                 del jobs[:]
                 y_split, _ = forward(p, x, split_cache)
                 grads_split = backward(p, split_cache, d_out, out=p.zeros_like())
-                assert len(jobs) == 8, rows
+                assert len(jobs) == 3, rows
                 assert np.array_equal(y_split, y), rows
                 for name in _FIELDS:
                     assert np.array_equal(getattr(grads_split, name), getattr(grads, name)), (
@@ -947,11 +1025,12 @@ class TestGemmLane:
             return real_matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", matmul)
-        a, b = np.ones((256, 512)), np.ones((512, 512))
-        lane = mlp_estimator._GemmLane()
+        p = random_net(512, 512, 512, 80)
+        cache = ForwardCache()
+        lane = cache.lane = mlp_estimator._GemmLane()
         try:
             with pytest.raises(FloatingPointError, match="on the helper"):
-                lane.matmul(a, b, out=np.empty((256, 512)))
+                forward(p, np.ones((256, 512)), cache)
             assert lane._thread.is_alive()
         finally:
             lane.close()
@@ -969,13 +1048,18 @@ class TestGemmLane:
     def test_stress_with_a_short_switch_interval_stays_bit_equal(self):
         # Three callers, each with its own lane: six threads on the CPUs of
         # the machine, handing off as often as the interpreter lets them.
+        # Each runs whole steps (forward, loss, backward, Adam) at paper dims
+        # through its lane and checks every output against the lane-off step.
         rng = np.random.default_rng(95)
         cases = []
         for dtype in (np.float32, np.float64):
-            a = rng.standard_normal((256, 512)).astype(dtype)
-            b = rng.standard_normal((512, 512)).astype(dtype)
-            for lhs in (a, a[:205], np.ascontiguousarray(b.T).T[:, :256].T):
-                cases.append((lhs, b, lhs @ b))
+            start = random_net(512, 512, 512, 96)
+            if dtype == np.float32:
+                start = float32_net(start)
+            for rows in (256, 205, 51):
+                x = rng.standard_normal((rows, 512)).astype(dtype)
+                target = rng.standard_normal((rows, 512)).astype(dtype)
+                cases.append((start, x, target, whole_step(start, x, target, None)))
         failures = []
         deadline = time.monotonic() + 1.5
 
@@ -983,10 +1067,10 @@ class TestGemmLane:
             lane = mlp_estimator._GemmLane()
             try:
                 while time.monotonic() < deadline:
-                    for lhs, rhs, expected in cases:
-                        out = np.full(expected.shape, np.nan, expected.dtype)
-                        if not np.array_equal(lane.matmul(lhs, rhs, out=out), expected):
-                            failures.append(lhs.shape)
+                    for start, x, target, expected in cases:
+                        got = whole_step(start, x, target, lane)
+                        if not all(map(np.array_equal, got, expected)):
+                            failures.append(x.shape)
             finally:
                 lane.close()
 
@@ -1002,6 +1086,45 @@ class TestGemmLane:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert failures == []
+        assert gemm_threads() == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_full_paper_batch_hands_off_four_times_a_step(self, dtype):
+        # One job each for forward, backward's upstream rows, the weight
+        # gradients and Adam.  A 51-row last batch splits no product, so
+        # only Adam goes to the helper.
+        p = random_net(512, 512, 512, 97)
+        if dtype == np.float32:
+            p = float32_net(p)
+        rng = np.random.default_rng(98)
+        jobs = []
+        lane = counted_lane(jobs)
+        try:
+            for rows, count in ((256, 4), (51, 1)):
+                x = rng.standard_normal((rows, 512)).astype(dtype)
+                del jobs[:]
+                whole_step(p, x, x, lane)
+                assert len(jobs) == count, rows
+        finally:
+            lane.close()
+
+    def test_train_hands_off_four_times_a_step(self, monkeypatch):
+        calls = []
+
+        class CountedLane(mlp_estimator._GemmLane):
+            def both(self, here, there):
+                calls.append(threading.current_thread().name)
+                return super().both(here, there)
+
+        monkeypatch.setattr(mlp_estimator, "_GemmLane", CountedLane)
+        monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims: True)
+        hyper = Hyperparams(
+            hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=1, patience=0,
+            compute_dtype="float32",
+        )
+        # Two full batches; 40 validation rows split no product.
+        train(paper_dataset(512, 99), paper_dataset(40, 100), hyper, np.random.default_rng(101))
+        assert calls == ["MainThread"] * 8
         assert gemm_threads() == []
 
     def test_lane_only_where_a_cpu_would_sit_idle(self, monkeypatch):
