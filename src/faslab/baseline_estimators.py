@@ -6,12 +6,18 @@ per-port least-squares/shrinkage reconstruction on the observed ports.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel_model import ArrayGeometry, steering_matrix
+from .dataset_pipeline import _held_lane, _TaskLane
 from .pilot_system import PilotObservation, SwitchSchedule
 
 RANK_TOL = 1e-10
@@ -101,8 +107,9 @@ def build_dictionary(
     cos_grid = -1.0 + 2.0 * np.arange(num_atoms) / num_atoms
     cos_grid[head:] = -cos_grid[partners]
     angles = np.arccos(cos_grid)
-    # Stored atom by atom, so that gathering atoms (OMP's new columns and
-    # its estimate) reads contiguous rows; the fields are transposed views.
+    # Stored atom by atom, so that gathering full atoms (OMP's estimate)
+    # reads contiguous rows; full_atoms is a transposed view.  The observed
+    # atoms, gathered from its columns, are a C-contiguous (m, K) array.
     by_atom = np.empty((num_atoms, geometry.num_ports), dtype=complex)
     by_atom[:head] = steering_matrix(geometry, cos_grid[:head]).T
     mirrored = by_atom[head:]
@@ -133,41 +140,96 @@ def _as_rows(obs, width: int, what: str) -> tuple[np.ndarray, bool]:
         raise ValueError(
             f"observation length {y.shape} does not match {what} {width}"
         )
-    return np.atleast_2d(y).astype(complex), y.ndim == 1
+    # Neither estimator writes its input, so a complex one is not copied.
+    return np.atleast_2d(y).astype(complex, copy=False), y.ndim == 1
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _leading(buffer: np.ndarray, shape) -> np.ndarray:
+    """The leading entries of a flat ``buffer`` as a C-contiguous array of
+    ``shape``, with the strides a new array of that shape gets."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+class _OmpWorkspace:
+    """The arrays that :func:`_omp_rows` works in, for blocks of up to
+    ``rows`` rows.
+
+    The thread that calls :func:`omp_estimate` allocates one per block in
+    flight; a block's greedy steps then reuse them through ``out=``, so a
+    block run on a helper thread allocates nothing large.  A step writes
+    its products into leading entries, views shaped and strided like the
+    new arrays they stand for, so numpy takes the same kernels and gives
+    the same bits.  The flat buffers each hold arrays that are never alive
+    together (see :func:`_leading`).
+    """
+
+    def __init__(self, rows: int, dictionary: AngularDictionary, sparsity: int):
+        m, n_atoms = dictionary.atoms.shape
+        n_ports = dictionary.full_atoms.shape[0]
+        self.residual = np.empty((rows, m), dtype=complex)
+        self.q = np.empty((rows, sparsity, m), dtype=complex)
+        self.r = np.empty((rows, sparsity, sparsity), dtype=complex)
+        self.excluded = np.empty((rows, n_atoms), dtype=bool)
+        self.flags = np.empty((rows, n_atoms), dtype=bool)
+        # The active residuals, then the atom column being orthogonalized,
+        # then the rows being deflated; and the new basis vectors.
+        self.w = np.empty((rows, m), dtype=complex)
+        self.new_q = np.empty((rows, m), dtype=complex)
+        # [Re; Im] of the active residuals.
+        self.stacked = np.empty(2 * rows * m)
+        # The correlation GEMM's output, then the correlations' moduli.
+        self.products = np.empty(rows * max(4 * _head_size(n_atoms), n_atoms))
+        # The complex correlations, then the basis rows gathered from q,
+        # then the full atoms of the estimate.
+        self.gathered = np.empty(rows * max(n_atoms, sparsity * max(m, n_ports)), dtype=complex)
+        # _row_dot's conjugated operand, and the products subtracted from w
+        # and from the residual.
+        self.vectors = np.empty(rows * m, dtype=complex)
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray, scratch=None) -> np.ndarray:
     """Per-row conj(a) . b over the last axis, one BLAS dot product per row;
     each row's value does not depend on how many rows share the call.
 
     Computed as conj(conj(b) . a), so that only ``b`` (the smaller operand
-    where they differ) is copied; the bits are those of conj(a) . b."""
-    return np.matmul(b.conj()[..., None, :], a[..., :, None])[..., 0, 0].conj()
+    where they differ) is copied, into the leading entries of the flat
+    complex ``scratch`` when it is given; the bits are those of
+    conj(a) . b."""
+    b_conj = np.conjugate(b, out=None if scratch is None else _leading(scratch, b.shape))
+    return np.matmul(b_conj[..., None, :], a[..., :, None])[..., 0, 0].conj()
 
 
-def _row_norm(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_row_dot(a, a).real)
+def _row_norm(a: np.ndarray, scratch=None) -> np.ndarray:
+    return np.sqrt(_row_dot(a, a, scratch).real)
 
 
-def _correlations(dictionary: AngularDictionary, residual: np.ndarray) -> np.ndarray:
+def _correlations(
+    dictionary: AngularDictionary, residual: np.ndarray, ws: _OmpWorkspace
+) -> np.ndarray:
     """|r^H a| for every row r of a complex (rows, m) residual matrix and
-    every atom a, from one real GEMM over the head atoms.
+    every atom a, from one real GEMM over the head atoms, in the buffers of
+    the workspace ``ws`` (the result is a view of one).
 
     ``[Re r; Im r] @ head_block`` is the complex pair P = Re(r) A_H and
     Q = Im(r) A_H over the head atoms A_H.  A head atom a gives
     r^H a = P - jQ; a mirrored atom conj(a) gives r^H conj(a) = conj(P + jQ),
     whose modulus is that of P + jQ.
     """
-    rows, n_atoms = residual.shape[0], dictionary.atoms.shape[1]
+    (rows, m), n_atoms = residual.shape, dictionary.atoms.shape[1]
     head, partners = _head_size(n_atoms), _mirror_partners(n_atoms)
-    stacked = np.concatenate([residual.real, residual.imag])
-    pq = (stacked @ dictionary.head_block).view(complex)
+    stacked = np.concatenate(
+        [residual.real, residual.imag], out=_leading(ws.stacked, (2 * rows, m))
+    )
+    pq = np.matmul(
+        stacked, dictionary.head_block, out=_leading(ws.products, (2 * rows, 2 * head))
+    ).view(complex)
     p, jq = pq[:rows], pq[rows:]
     jq *= 1j
-    corr = np.empty((rows, n_atoms), dtype=complex)
+    corr = _leading(ws.gathered, (rows, n_atoms))
     np.subtract(p, jq, out=corr[:, :head])
     np.add(p[:, partners], jq[:, partners], out=corr[:, head:])
-    return np.abs(corr)
+    # Over the GEMM's output, which the complex correlations replaced.
+    return np.abs(corr, out=_leading(ws.products, (rows, n_atoms)))
 
 
 def omp_estimate(
@@ -190,6 +252,16 @@ def omp_estimate(
     of a block, see :func:`_correlations`), each with its own support and QR
     factors.  Returns the length-N estimate (``(rows, N)`` for a row matrix),
     or (estimate, OmpTrace) with ``with_trace``.
+
+    On a thread that holds a :func:`~faslab.dataset_pipeline.task_lane`, the
+    blocks after the first go to the front of its queue, where its helper
+    takes them, while this thread runs the first and then those still
+    queued.  Each block works in one of the :class:`_OmpWorkspace` objects
+    this thread allocates, one per block in flight.  Elsewhere the blocks
+    run here, in order.  Either way every bit of the result is the same,
+    and the drop warnings are issued on this thread, block by block in row
+    order, once the blocks have run; an exception raised in a block is
+    raised here after the other blocks have run.
     """
     m, n_atoms = dictionary.atoms.shape
     y, single = _as_rows(obs, m, "dictionary rows")
@@ -199,53 +271,108 @@ def omp_estimate(
             f"observations={m})]"
         )
 
+    rows = y.shape[0]
     block = max(1, _OMP_BLOCK // n_atoms)
-    blocks = []
-    # An empty row matrix runs one empty block.  (A loop, not a
-    # comprehension, so that the drop warnings' stacklevel holds.)
-    for lo in range(0, max(y.shape[0], 1), block):
-        blocks.append(_omp_rows(y[lo:lo + block], dictionary, sparsity))
-    estimate = np.concatenate([est for est, _, _, _ in blocks])
+    # Each block writes its rows of these.  The estimate is (rows, 1, N), the
+    # shape of the product that forms it.
+    estimate = np.empty((rows, 1, dictionary.full_atoms.shape[0]), dtype=complex)
+    support = np.zeros((rows, sparsity), dtype=int)
+    count = np.zeros(rows, dtype=int)
+    residual_norms = np.zeros((rows, sparsity + 1))
+    lane = _held_lane() or _TaskLane()
+    # An empty row matrix runs one empty block.
+    starts = range(0, max(rows, 1), block)
+    spare = queue.SimpleQueue()
+    for _ in range(min(len(starts), lane.runners)):
+        spare.put(_OmpWorkspace(min(block, rows), dictionary, sparsity))
+    # A finished block hands its workspace on only while a block is still
+    # to start, so that no workspace outlives its use beside what its thread
+    # runs next (in the sweep, the next test set's blocks).
+    unstarted = [len(starts)]
+    handing = threading.Lock()
+
+    def run(lo):
+        with handing:
+            unstarted[0] -= 1
+        ws = spare.get()
+        try:
+            rows_out = (a[lo : lo + block] for a in (estimate, support, count, residual_norms))
+            return _omp_rows(y[lo : lo + block], dictionary, sparsity, ws, *rows_out)
+        finally:
+            with handing:
+                if unstarted[0]:
+                    spare.put(ws)
+
+    later = lane.submit((functools.partial(run, lo) for lo in starts[1:]), front=True)
+    try:
+        first = run(starts[0])
+    finally:
+        lane.wait(later)
+    for dropped in itertools.chain([first], (future.result() for future in later)):
+        for atom in dropped:
+            warnings.warn(
+                f"dropping atom {atom}: support system would be rank-deficient",
+                stacklevel=2,
+            )
+    estimate = estimate[:, 0]
     if not with_trace:
         return estimate[0] if single else estimate
-    supports, norms = [], []
-    for _, support, count, residual_norms in blocks:
-        supports += [s[:c].tolist() for s, c in zip(support, count)]
-        norms += [n[: c + 1].tolist() for n, c in zip(residual_norms, count)]
+    supports = [s[:c].tolist() for s, c in zip(support, count)]
+    norms = [n[: c + 1].tolist() for n, c in zip(residual_norms, count)]
     if single:
         return estimate[0], OmpTrace(supports[0], norms[0])
     return estimate, OmpTrace(supports, norms)
 
 
-def _omp_rows(y: np.ndarray, dictionary: AngularDictionary, sparsity: int):
-    """The greedy loop of :func:`omp_estimate` over one block of rows.
+def _omp_rows(
+    y: np.ndarray,
+    dictionary: AngularDictionary,
+    sparsity: int,
+    ws: _OmpWorkspace,
+    estimate: np.ndarray,
+    support: np.ndarray,
+    count: np.ndarray,
+    residual_norms: np.ndarray,
+) -> list[int]:
+    """The greedy loop of :func:`omp_estimate` over one block of rows, in
+    the workspace ``ws``.
 
-    Returns the (rows, N) estimate and each row's support (rows, sparsity),
-    accepted-atom count and residual norms (rows, sparsity + 1); entries
-    past a row's count are unused."""
-    m, n_atoms = dictionary.atoms.shape
-    rows = y.shape[0]
+    Writes the (rows, 1, N) estimate and each row's support (rows,
+    sparsity), accepted-atom count and residual norms (rows, sparsity + 1)
+    into the given arrays, which hold zeros but for the estimate; entries
+    past a row's count stay 0.  Returns the atoms dropped as
+    rank-deficient, in the order they were tried, for the caller to warn
+    about."""
+    rows, m = y.shape
     atom_norms = dictionary.atom_norms
     safe_norms = np.where(atom_norms > 0, atom_norms, 1.0)
-    residual = y.copy()
+    residual = ws.residual[:rows]
+    np.copyto(residual, y)
     # Unused Q slots and R columns stay zero, so rows with different support
     # sizes run the same arithmetic.
-    q = np.zeros((rows, sparsity, m), dtype=complex)
-    r = np.zeros((rows, sparsity, sparsity), dtype=complex)
-    support = np.zeros((rows, sparsity), dtype=int)
-    count = np.zeros(rows, dtype=int)
-    residual_norms = np.zeros((rows, sparsity + 1))
-    residual_norms[:, 0] = _row_norm(residual)
-    excluded = np.zeros((rows, n_atoms), dtype=bool)
-    excluded[:, atom_norms == 0] = True
+    q = ws.q[:rows]
+    q.fill(0.0)
+    r = ws.r[:rows]
+    r.fill(0.0)
+    excluded = ws.excluded[:rows]
+    np.copyto(excluded, atom_norms == 0)
+    residual_norms[:, 0] = _row_norm(residual, ws.vectors)
     active = np.flatnonzero(count < sparsity)
+    dropped_atoms = []
 
     while active.size:
-        corr = _correlations(dictionary, residual[active])
+        # The indices are in range; mode="clip" lets take write `out`
+        # directly instead of through a temporary.
+        rows_now = active.size
+        corr = _correlations(
+            dictionary, np.take(residual, active, axis=0, out=ws.w[:rows_now], mode="clip"), ws
+        )
         corr /= safe_norms
-        corr[excluded[active]] = -1.0
+        flags = ws.flags[:rows_now]
+        np.copyto(corr, -1.0, where=np.take(excluded, active, axis=0, out=flags, mode="clip"))
         peak = corr.max(axis=1)
-        best = np.argmax(corr >= (peak * (1.0 - TIE_TOL))[:, None], axis=1)
+        tied = np.greater_equal(corr, (peak * (1.0 - TIE_TOL))[:, None], out=flags)
+        best = np.argmax(tied, axis=1)
         # An exactly-zero correlation on a nonzero residual is rounding (it
         # comes and goes with the BLAS kernel), not a stop signal.
         live = (peak >= 0.0) & (residual_norms[active, count[active]] > 0.0)
@@ -256,47 +383,63 @@ def _omp_rows(y: np.ndarray, dictionary: AngularDictionary, sparsity: int):
         # Gram-Schmidt passes for numerical robustness).  Every row uses all
         # ``sparsity`` slots, so a row's products have the same shapes (and
         # bits) whichever rows share the call.
-        basis = q[active]
-        w = dictionary.atoms.T[best]
-        head = np.zeros((active.size, sparsity), dtype=complex)
+        rows_now = active.size
+        basis = np.take(
+            q, active, axis=0, out=_leading(ws.gathered, (rows_now, sparsity, m)),
+            mode="clip",
+        )
+        # Gathered from the atoms' (m, K) layout, where take copies no more
+        # than the chosen columns, then laid out row by row.
+        columns = np.take(
+            dictionary.atoms, best, axis=1, out=_leading(ws.vectors, (m, rows_now)), mode="clip"
+        )
+        w = ws.w[:rows_now]
+        np.copyto(w, columns.T)
+        head = np.zeros((rows_now, sparsity), dtype=complex)
         for _ in range(2):
-            proj = _row_dot(basis, w[:, None, :])
+            proj = _row_dot(basis, w[:, None, :], ws.vectors)
             head += proj
-            w -= np.matmul(proj[:, None, :], basis)[:, 0]
-        w_norm = _row_norm(w)
+            w -= np.matmul(
+                proj[:, None, :], basis, out=_leading(ws.vectors, (rows_now, 1, m))
+            )[:, 0]
+        w_norm = _row_norm(w, ws.vectors)
         dropped = w_norm <= RANK_TOL * atom_norms[best]
-        for atom in best[dropped]:
-            warnings.warn(
-                f"dropping atom {atom}: support system would be rank-deficient",
-                stacklevel=3,
-            )
+        dropped_atoms += best[dropped].tolist()
         keep = ~dropped
         grow, best, slot = active[keep], best[keep], count[active[keep]]
-        new_q = w[keep] / w_norm[keep, None]
+        new_q = np.compress(keep, w, axis=0, out=ws.new_q[: grow.size])
+        new_q /= w_norm[keep, None]
         head = head[keep]
         head[np.arange(grow.size), slot] = w_norm[keep]
         q[grow, slot] = new_q
         r[grow, :, slot] = head
         support[grow, slot] = best
         count[grow] += 1
-        deflated = residual[grow]
-        deflated -= _row_dot(new_q, deflated)[:, None] * new_q
+        deflated = np.take(residual, grow, axis=0, out=ws.w[: grow.size], mode="clip")
+        deflated -= np.multiply(
+            _row_dot(new_q, deflated, ws.vectors)[:, None], new_q,
+            out=_leading(ws.vectors, deflated.shape),
+        )
         residual[grow] = deflated
-        residual_norms[grow, count[grow]] = _row_norm(deflated)
+        residual_norms[grow, count[grow]] = _row_norm(deflated, ws.vectors)
         active = active[count[active] < sparsity]
 
     # Back-substitute R c = Q^H y; unused slots get identity rows of R and a
     # zero right-hand side, so their coefficients are zero.
     unused = np.arange(sparsity) >= count[:, None]
     r[:, np.arange(sparsity), np.arange(sparsity)] += unused
-    rhs = _row_dot(q, y[:, None, :])
+    rhs = _row_dot(q, y[:, None, :], ws.vectors)
     coeffs = np.zeros((rows, sparsity), dtype=complex)
     for j in reversed(range(sparsity)):
         tail = (r[:, j, j + 1:] * coeffs[:, j + 1:]).sum(axis=-1)
         coeffs[:, j] = (rhs[:, j] - tail) / r[:, j, j]
-    estimate = np.matmul(coeffs[:, None, :], dictionary.full_atoms.T[support])[:, 0]
+    atoms = np.take(
+        dictionary.full_atoms.T, support, axis=0,
+        out=_leading(ws.gathered, (*support.shape, estimate.shape[2])), mode="clip",
+    )
+    np.matmul(coeffs[:, None, :], atoms, out=estimate)
     estimate[count == 0] = 0.0
-    return estimate, support, count, residual_norms
+    return dropped_atoms
 
 
 def ls_observed_estimate(obs, sched: SwitchSchedule, sigma2: float) -> np.ndarray:

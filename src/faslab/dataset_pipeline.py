@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import hashlib
 import itertools
 import operator
@@ -16,7 +17,7 @@ import os
 import struct
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -247,9 +248,9 @@ def snr_stream_key(snr_db) -> int:
 def _synth_workers() -> int:
     """Threads for :func:`draw_samples`: the CPUs in this process's affinity
     mask, capped at ``_SYNTH_WORKERS``, and 1 off the main thread, where a
-    caller such as :func:`draw_test_sets` runs threads of its own.  Every
-    helper thread in faslab (this pool, the sweep's lane, training's GEMM
-    lane) runs only where this is 2 or more."""
+    caller may run threads of its own.  Every helper thread in faslab (this
+    pool, the sweep's :class:`_TaskLane`, training's GEMM lane) runs only
+    where this is 2 or more."""
     if threading.current_thread() is not threading.main_thread():
         return 1
     try:
@@ -264,9 +265,10 @@ def _in_order(fn, items, threads: int, ahead: int, name: str):
     """An iterator over ``fn(item)`` for ``items`` in order, computed on
     ``threads`` threads named ``name_0``, ``name_1``, ... with at most
     ``ahead`` calls in flight; the first are submitted on entry.  With
-    ``threads == 0`` it maps in the calling thread.  An exception raised by
-    a call reaches the consumer at its item; leaving the block cancels the
-    calls not started and joins the threads once the running ones finish.
+    ``threads == 0`` it maps in the calling thread.  ``items`` is iterated
+    in the calling thread.  An exception raised by a call reaches the
+    consumer at its item; leaving the block cancels the calls not started
+    and joins the threads once the running ones finish.
     """
     if threads == 0:
         yield map(fn, items)
@@ -287,6 +289,147 @@ def _in_order(fn, items, threads: int, ahead: int, name: str):
         pool.shutdown(cancel_futures=True)
 
 
+class _TaskLane:
+    """One ordered queue of tasks and, with ``helper``, one thread,
+    ``faslab-sweep``, that runs them from the front.
+
+    The calling thread runs them too, from the front, while it waits for
+    some (:meth:`wait`); without a helper it runs them all, in queue order.
+    Tasks do numpy work only, into arrays that the calling thread allocated
+    and keeps: faslab's public functions run on the calling thread.  Each
+    task's outcome is a :class:`~concurrent.futures.Future`, whose
+    ``result()`` raises the task's exception again.  :meth:`close` drops
+    the tasks not started and joins the helper after the one it runs.
+    """
+
+    def __init__(self, helper: bool = False):
+        self.runners = 2 if helper else 1
+        self._tasks = deque()
+        self._changed = threading.Condition()
+        self._closed = False
+        self._thread = None
+        if helper:
+            # A daemon, so that a lane left open cannot hold the interpreter
+            # at exit; task_lane() closes it whatever happens.
+            self._thread = threading.Thread(target=self._serve, name="faslab-sweep", daemon=True)
+            self._thread.start()
+
+    def submit(self, fns, front: bool = False) -> list[Future]:
+        """Queue a task per callable of ``fns``, in order, behind the queued
+        ones or, with ``front``, ahead of them; returns their futures."""
+        tasks = [(fn, Future()) for fn in fns]
+        with self._changed:
+            if front:
+                self._tasks.extendleft(reversed(tasks))
+            else:
+                self._tasks.extend(tasks)
+            self._changed.notify_all()
+        return [future for _, future in tasks]
+
+    def wait(self, futures) -> None:
+        """Return once the tasks of ``futures`` have run, running the queued
+        tasks from the front in the meantime."""
+        for future in futures:
+            while True:
+                with self._changed:
+                    while not (future.done() or self._tasks):
+                        self._changed.wait()
+                    if future.done():
+                        break
+                    ready = self._tasks.popleft()
+                self._run(*ready)
+
+    def close(self) -> None:
+        with self._changed:
+            self._closed = True
+            self._tasks.clear()
+            self._changed.notify_all()
+        if self._thread is not None:
+            self._thread.join()
+
+    def _run(self, fn, future: Future) -> None:
+        try:
+            future.set_result(fn())
+        except BaseException as exc:  # raised again by result(), on the calling thread
+            future.set_exception(exc)
+        with self._changed:
+            self._changed.notify_all()
+
+    def _serve(self) -> None:
+        while True:
+            with self._changed:
+                while not (self._closed or self._tasks):
+                    self._changed.wait()
+                if self._closed:
+                    return
+                ready = self._tasks.popleft()
+            self._run(*ready)
+
+
+# The lane each thread holds inside a task_lane() block.  Thread-local, so a
+# helper thread never sees one: omp_estimate(), whose signature is fixed,
+# finds the sweep's lane here.
+_holder = threading.local()
+
+
+def _held_lane() -> _TaskLane | None:
+    """The :class:`_TaskLane` the calling thread holds, or None."""
+    return getattr(_holder, "lane", None)
+
+
+@contextlib.contextmanager
+def task_lane():
+    """A :class:`_TaskLane` that the calling thread holds inside the block
+    (see :func:`_held_lane`): with a helper thread where
+    :func:`_synth_workers` finds two CPUs or more, and none otherwise.  It is
+    closed on exit, however the block ends, so its helper never outlives
+    the block."""
+    lane = _TaskLane(helper=_synth_workers() > 1)
+    outer = _held_lane()
+    _holder.lane = lane
+    try:
+        yield lane
+    finally:
+        _holder.lane = outer
+        lane.close()
+
+
+def _sample_blocks(
+    cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
+):
+    """``(synthesize, rows)`` for the ``n`` samples of :func:`draw_samples`:
+    ``synthesize(lo, h, y)`` writes samples ``lo`` .. ``lo + len(h) - 1``
+    into the caller's complex arrays ``h`` (rows, num_ports) and ``y``
+    (rows, P*M), and ``rows`` is the block size.  A block's result does not
+    depend on the thread that synthesizes it."""
+    if n > 2**32:
+        raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
+    geometry = cfg.geometry()
+    scattering = cfg.scattering()
+    flat = schedule.flat_indices()
+    mixed = isinstance(snr_db, (list, tuple))
+    variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
+    states = _stream_states(master_seed, snr_stream_key(snr_db), np.arange(n, dtype=np.uint32))
+
+    def synthesize(lo: int, h: np.ndarray, y: np.ndarray) -> None:
+        count = len(h)
+        rays = RayDraws.empty(scattering, (count,))
+        # Zeroed so that the rows of a noiseless sample hold finite values.
+        normals = np.zeros((count, 2, flat.size))
+        sigma2 = np.empty(count)
+        for j in range(count):
+            rng = _stream(states[lo + j])
+            sigma2[j] = variances[rng.integers(len(variances))] if mixed else variances[0]
+            rays.draw(rng, j)
+            if sigma2[j] > 0:
+                rng.standard_normal(out=normals[j])
+        h[...] = channel_from_rays(rays.angles(), rays.gains(), geometry)
+        np.take(h, flat, axis=1, out=y, mode="clip")
+        add_noise(y, normals, sigma2)
+
+    return synthesize, max(16, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
+
+
 def draw_samples(
     cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
 ):
@@ -305,75 +448,73 @@ def draw_samples(
     per-sample stream, then the channel, then the noise; a noise variance of
     0 draws no noise).
 
-    Blocks are synthesized through :func:`_in_order` on up to
-    :func:`_synth_workers` threads, each with two blocks or more, two
-    blocks per thread in flight; with one CPU, off the main thread, or with
-    fewer than four blocks, in the calling thread.  Block boundaries and
-    arithmetic do not depend on the thread count, so neither does any byte.
+    Blocks are synthesized (see :func:`_sample_blocks`) through
+    :func:`_in_order` on up to :func:`_synth_workers` threads, each with two
+    blocks or more, two blocks per thread in flight; with one CPU, off the
+    main thread, or with fewer than four blocks, in the calling thread,
+    which allocates every block's arrays.  Block boundaries and arithmetic
+    do not depend on the thread count, so neither does any byte.
     """
-    if n > 2**32:
-        raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
-    geometry = cfg.geometry()
-    scattering = cfg.scattering()
-    flat = schedule.flat_indices()
-    mixed = isinstance(snr_db, (list, tuple))
-    variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
-    states = _stream_states(master_seed, snr_stream_key(snr_db), np.arange(n, dtype=np.uint32))
-    rows = max(16, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
-
-    def synthesize(lo: int):
-        count = min(rows, n - lo)
-        rays = RayDraws.empty(scattering, (count,))
-        # Zeroed so that the rows of a noiseless sample hold finite values.
-        normals = np.zeros((count, 2, flat.size))
-        sigma2 = np.empty(count)
-        for j in range(count):
-            rng = _stream(states[lo + j])
-            sigma2[j] = variances[rng.integers(len(variances))] if mixed else variances[0]
-            rays.draw(rng, j)
-            if sigma2[j] > 0:
-                rng.standard_normal(out=normals[j])
-        h = channel_from_rays(rays.angles(), rays.gains(), geometry)
-        y = h[:, flat]
-        add_noise(y, normals, sigma2)
-        return lo, h, y
-
+    synthesize, rows = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
     starts = range(0, n, rows)
+
+    def blocks():
+        for lo in starts:
+            count = min(rows, n - lo)
+            h = np.empty((count, cfg.num_ports), dtype=complex)
+            yield lo, h, np.empty((count, schedule.num_samples), dtype=complex)
+
+    def run(block):
+        synthesize(*block)
+        return block
+
     # A thread pays for its start from two blocks on: two blocks ran 7%
     # (paper) to 17% (desk) slower on two threads than in one; four broke
     # even on desk and ran 32% faster at paper shape.
     workers = min(_synth_workers(), len(starts) // 2)
     if workers <= 1:
         workers = 0
-    with _in_order(synthesize, starts, workers, 2 * workers, "faslab-synth") as blocks:
-        yield from blocks
+    with _in_order(run, blocks(), workers, 2 * workers, "faslab-synth") as done:
+        yield from done
 
 
-def draw_rows(
-    cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``n`` rows of :func:`draw_samples` as one (channels, pilots) pair."""
-    _, h, y = zip(*draw_samples(cfg, schedule, snr_db, master_seed, n))
-    return np.concatenate(h), np.concatenate(y)
+def queue_test_sets(lane: _TaskLane, cfg: ExperimentConfig, schedule: SwitchSchedule):
+    """An iterator over the sweep's test sets, (channels, pilots) per SNR of
+    ``cfg.snr_db_list`` in order: the ``cfg.n_test_samples`` rows of
+    :func:`draw_samples` from the test seed's own stream family.
 
-
-def draw_test_sets(cfg: ExperimentConfig, schedule: SwitchSchedule):
-    """A context manager whose iterator gives the sweep's test sets,
-    (channels, pilots) per SNR of ``cfg.snr_db_list`` in order, each
-    :func:`draw_rows` of ``cfg.n_test_samples`` rows from the test seed's
-    own stream family.
-
-    With two CPUs or more in the affinity mask, one helper thread draws
-    them through :func:`_in_order`, starting on the first on entry and
-    never more than one ahead of the caller, its blocks one after another
-    (see :func:`_synth_workers`).  With one CPU each is drawn in the
-    calling thread when it is asked for.
+    Each set's blocks (see :func:`_sample_blocks`) are tasks on ``lane``,
+    writing into two arrays that the calling thread allocates.  The first
+    set is queued at the call and each later one when the set before it is
+    handed out, so the lane draws at most one set ahead of the caller.
+    Asking for a set waits for its blocks (see :meth:`_TaskLane.wait`);
+    an exception raised by one of them is raised then, at its SNR.
     """
-    def draw(snr):
-        return draw_rows(cfg, schedule, snr, cfg.seeds.test, cfg.n_test_samples)
+    n = cfg.n_test_samples
 
-    helpers = 1 if _synth_workers() > 1 else 0
-    return _in_order(draw, cfg.snr_db_list, helpers, 1, "faslab-sweep")
+    def queue(snr):
+        synthesize, rows = _sample_blocks(cfg, schedule, snr, cfg.seeds.test, n)
+        h = np.empty((n, cfg.num_ports), dtype=complex)
+        y = np.empty((n, schedule.num_samples), dtype=complex)
+        futures = lane.submit(
+            functools.partial(synthesize, lo, h[lo : lo + rows], y[lo : lo + rows])
+            for lo in range(0, n, rows)
+        )
+        return h, y, futures
+
+    snrs = iter(cfg.snr_db_list)
+    queued = [queue(snr) for snr in itertools.islice(snrs, 1)]
+
+    def test_sets():
+        while queued:
+            h, y, futures = queued.pop()
+            lane.wait(futures)
+            for future in futures:
+                future.result()
+            queued.extend(queue(snr) for snr in itertools.islice(snrs, 1))
+            yield h, y
+
+    return test_sets()
 
 
 def generate_dataset(

@@ -27,19 +27,21 @@ from .config import (
     snr_label,
 )
 from .dataset_pipeline import (
-    draw_test_sets,
     generate_dataset,
     load_dataset,  # unused here; faslab_bench/spans.py traces it
     load_split,
+    queue_test_sets,
     sample_stream,  # unused here; faslab_bench/spans.py traces it
     save_dataset,
     split,  # unused here; faslab_bench/spans.py traces it
     staged_artifacts,
+    task_lane,
     write_artifact,
 )
 from .errors import ConfigError, TrainingDivergedError
 from .mlp_estimator import (
     Hyperparams,
+    channel_energy,
     ensemble_nmse,
     load_model,
     nmse_db,
@@ -192,9 +194,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
     Expects per-SNR models from ``generate`` + ``train``; with
     ``build_missing`` they are produced on the fly.  Every model is found or
     built before the first test set is drawn, so a missing one fails the
-    sweep at once.  With two CPUs or more, the next SNR's test set is drawn
-    on a helper thread while the current one is scored (see
-    :func:`draw_test_sets`); the bytes written do not depend on it.
+    sweep at once.  The test sets' blocks and OMP's row blocks are tasks on
+    one :func:`task_lane`: with two CPUs or more its helper thread draws the
+    next SNR's test set and takes OMP blocks while the calling thread scores
+    (see :func:`queue_test_sets` and :func:`omp_estimate`); the bytes written
+    do not depend on it.  Each SNR's channel energy is taken once, and one
+    pair of error buffers serves every estimator's :func:`ensemble_nmse`;
+    neither changes a bit of the result.
     """
     model_files = [_sweep_model(cfg, snr, build_missing) for snr in cfg.snr_db_list]
     schedule = cfg.build_schedule()
@@ -202,7 +208,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
     # Only the current model is held: the mixed mode loads its one model
     # once, and a per-SNR model is dropped before the next is loaded.
     loaded = params = normalizers = None
-    with draw_test_sets(cfg, schedule) as test_sets:
+    shape = (cfg.n_test_samples, cfg.num_ports)
+    scratch = (np.empty(shape, dtype=complex), np.empty(shape))
+    with task_lane() as lane:
+        test_sets = queue_test_sets(lane, cfg, schedule)
         dictionary = build_dictionary(
             cfg.geometry(), schedule, cfg.dictionary_oversampling * cfg.num_ports
         )
@@ -213,6 +222,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
                 params, normalizers = load_model(mfile)
                 loaded = mfile
             channels, pilots = next(test_sets)
+            energy = channel_energy(channels)
             estimates = {
                 "mlp": predict_batch(params, normalizers, pilots),
                 "omp": omp_estimate(pilots, dictionary, sparsity),
@@ -221,7 +231,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
                 ),
             }
             for name in ESTIMATORS:
-                value = nmse_db(ensemble_nmse(estimates[name], channels))
+                value = nmse_db(ensemble_nmse(estimates[name], channels, energy, scratch))
                 rows.append((snr, name, value))
                 print(f"snr {snr:+.1f} dB  {name:<12} {value:8.2f} dB")
 

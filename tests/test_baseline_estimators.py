@@ -1,16 +1,18 @@
 """Tests for the greedy sparse estimator and the observed-port shrinkage."""
 
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from faslab import baseline_estimators
+from faslab import baseline_estimators, dataset_pipeline
 from faslab.baseline_estimators import (
     RANK_TOL,
     AngularDictionary,
     _correlations,
+    _OmpWorkspace,
     _row_norm,
     build_dictionary,
     ls_observed_estimate,
@@ -289,14 +291,15 @@ class TestCorrelations:
         shape = (40, sched.num_samples)
         residual = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         residual[5] = residual[5].real
+        ws = _OmpWorkspace(40, d, 1)
         for rows in (40, 7, 1):
             want = np.abs(residual[:rows].conj() @ d.atoms)
-            got = _correlations(d, residual[:rows])
+            got = _correlations(d, residual[:rows], ws)
             assert got.shape == want.shape
             assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
         # A real residual correlates equally with an atom and its mirror,
         # bit for bit, so the tie rule (not rounding) picks between them.
-        got = _correlations(d, residual[5:6])[0]
+        got = _correlations(d, residual[5:6], ws)[0]
         assert np.array_equal(got[1:], got[:0:-1])
 
 
@@ -413,6 +416,122 @@ class TestOmpBatch:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="observation length"):
             omp_estimate(self.rows[:, :-1], self.dictionary, 3)
+
+
+def lane_cpus(monkeypatch, cpus):
+    """Make task_lane() see ``cpus`` CPUs in the affinity mask."""
+    mask = set(range(cpus))
+    monkeypatch.setattr(dataset_pipeline.os, "sched_getaffinity", lambda pid: mask, raising=False)
+
+
+class ThreadedWarnings:
+    """Stands in for baseline_estimators' ``warnings`` module and records
+    the thread that issues each warning."""
+
+    def __init__(self):
+        self.threads = []
+
+    def warn(self, message, category=None, stacklevel=1):
+        self.threads.append(threading.current_thread())
+        warnings.warn(message, category, stacklevel + 1)
+
+
+def warned_omp(rows, dictionary, sparsity):
+    """(estimate, support, residual norms, [(drop warning, file)]) of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est, trace = omp_estimate(rows, dictionary, sparsity, with_trace=True)
+    return est, trace.support, trace.residual_norms, [(str(w.message), w.filename) for w in caught]
+
+
+@pytest.mark.filterwarnings("ignore:dropping atom")
+class TestOmpOnTheLane:
+    """Inside a task_lane(), omp_estimate's row blocks after the first go to
+    the front of the lane's queue: with two CPUs its helper takes some."""
+
+    setup_method = TestOmpBatch.setup_method
+
+    def test_blocks_on_the_helper_give_the_one_thread_results(self, monkeypatch):
+        # 221 rows in 32 blocks of 7.
+        monkeypatch.setattr(baseline_estimators, "_OMP_BLOCK", 7 * 16)
+        alone = warned_omp(self.rows, self.dictionary, self.sparsity)
+        recorder = ThreadedWarnings()
+        monkeypatch.setattr(baseline_estimators, "warnings", recorder)
+        lane_cpus(monkeypatch, 2)
+        ran_on = set()
+        omp_rows = baseline_estimators._omp_rows
+
+        def recording(*args):
+            ran_on.add(threading.current_thread())
+            return omp_rows(*args)
+
+        monkeypatch.setattr(baseline_estimators, "_omp_rows", recording)
+        before = threading.enumerate()
+        with dataset_pipeline.task_lane() as lane:
+            assert lane.runners == 2
+            shared = warned_omp(self.rows, self.dictionary, self.sparsity)
+        assert threading.enumerate() == before
+        assert threading.main_thread() in ran_on and len(ran_on) <= 2
+        assert np.array_equal(shared[0], alone[0])
+        assert shared[1:3] == alone[1:3]
+        # The same drops in the same (block) order, each issued on the
+        # calling thread and naming this file.
+        assert shared[3] == alone[3] and len(alone[3]) > 0
+        assert {filename for _, filename in shared[3]} == {__file__}
+        assert recorder.threads == [threading.main_thread()] * len(alone[3])
+
+    def test_an_empty_row_matrix(self, monkeypatch):
+        lane_cpus(monkeypatch, 2)
+        with dataset_pipeline.task_lane():
+            est, trace = omp_estimate(self.rows[:0], self.dictionary, 3, with_trace=True)
+        assert est.shape == (0, self.geometry.num_ports)
+        assert trace.support == trace.residual_norms == []
+
+    def test_an_error_in_a_block_on_the_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(baseline_estimators, "_OMP_BLOCK", 7 * 16)
+        lane_cpus(monkeypatch, 2)
+
+        class Boom(RuntimeError):
+            pass
+
+        helper_took_one = threading.Event()
+        omp_rows = baseline_estimators._omp_rows
+
+        def helper_raises(*args):
+            if threading.current_thread() is threading.main_thread():
+                # The calling thread's first block lets the helper take one.
+                assert helper_took_one.wait(timeout=60)
+                return omp_rows(*args)
+            helper_took_one.set()
+            raise Boom("block on the helper")
+
+        monkeypatch.setattr(baseline_estimators, "_omp_rows", helper_raises)
+        before = threading.enumerate()
+        with pytest.raises(Boom, match="block on the helper"):
+            with dataset_pipeline.task_lane():
+                omp_estimate(self.rows, self.dictionary, self.sparsity)
+        assert threading.enumerate() == before
+
+    def test_blocks_go_ahead_of_the_queued_tasks(self, monkeypatch):
+        # One CPU: no helper, so the calling thread runs every task, and it
+        # stops once its own blocks are done.
+        monkeypatch.setattr(baseline_estimators, "_OMP_BLOCK", 7 * 16)
+        lane_cpus(monkeypatch, 1)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread) or start(thread)
+        )
+        with dataset_pipeline.task_lane() as lane:
+            assert lane.runners == 1
+            (queued,) = lane.submit([lambda: "queued"])
+            est = omp_estimate(self.rows, self.dictionary, self.sparsity)
+            assert not queued.done()
+            lane.wait([queued])
+            assert queued.result() == "queued"
+        assert started == []
+        alone = omp_estimate(self.rows, self.dictionary, self.sparsity)
+        assert np.array_equal(est, alone)
 
 
 class TestLsObserved:

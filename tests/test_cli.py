@@ -590,7 +590,8 @@ def sweep_lanes(monkeypatch, cpus):
 
 
 class TestSweepLanes:
-    """cmd_sweep scores one SNR while a helper thread draws the next test set."""
+    """cmd_sweep scores one SNR while a helper thread draws the next test set
+    and takes OMP row blocks."""
 
     def test_missing_last_model_fails_before_any_test_set_is_drawn(
         self, swept_models, tmp_path, monkeypatch
@@ -614,25 +615,39 @@ class TestSweepLanes:
     ):
         sweep_lanes(monkeypatch, 2)
         events = []
-        draw_rows, omp_estimate = dataset_pipeline.draw_rows, experiment_cli.omp_estimate
+        sample_blocks = dataset_pipeline._sample_blocks
+        omp_estimate = experiment_cli.omp_estimate
 
         def drawing(cfg, schedule, snr, *args):
-            events.append(("draw", snr, threading.current_thread()))
-            return draw_rows(cfg, schedule, snr, *args)
+            synthesize, rows = sample_blocks(cfg, schedule, snr, *args)
+
+            def block(lo, h, y):
+                events.append(("draw", snr, threading.current_thread()))
+                synthesize(lo, h, y)
+
+            return block, rows
 
         def scoring(pilots, *args):
             estimate = omp_estimate(pilots, *args)
             events.append(("scored", None, threading.current_thread()))
             return estimate
 
-        monkeypatch.setattr(dataset_pipeline, "draw_rows", drawing)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread) or start(thread)
+        )
+        monkeypatch.setattr(dataset_pipeline, "_sample_blocks", drawing)
         monkeypatch.setattr(experiment_cli, "omp_estimate", scoring)
         before = threading.enumerate()
         cmd_sweep(swept_models, tmp_path / "sweep.csv")
         assert threading.enumerate() == before
         draws = [e for e in events if e[0] == "draw"]
+        # The micro config's 40 test rows make one block per set.
         assert [snr for _, snr, _ in draws] == swept_models.snr_db_list
-        assert {thread.name for _, _, thread in draws} == {"faslab-sweep_0"}
+        # One helper; a block runs on it or on the calling thread.
+        assert [thread.name for thread in started] == ["faslab-sweep"]
+        assert {thread for _, _, thread in draws} <= {started[0], threading.main_thread()}
         assert all(e[2] is threading.main_thread() for e in events if e[0] == "scored")
         # SNR k is drawn only once SNR k-2 has been scored.
         kinds = [kind for kind, _, _ in events]
@@ -648,14 +663,19 @@ class TestSweepLanes:
         class Boom(RuntimeError):
             pass
 
-        draw_rows = dataset_pipeline.draw_rows
+        sample_blocks = dataset_pipeline._sample_blocks
 
         def second_snr_raises(cfg, schedule, snr, *args):
-            if snr == cfg.snr_db_list[1]:
-                raise Boom(f"drawing {snr}")
-            return draw_rows(cfg, schedule, snr, *args)
+            synthesize, rows = sample_blocks(cfg, schedule, snr, *args)
 
-        monkeypatch.setattr(dataset_pipeline, "draw_rows", second_snr_raises)
+            def block(lo, h, y):
+                if snr == cfg.snr_db_list[1]:
+                    raise Boom(f"drawing {snr}")
+                synthesize(lo, h, y)
+
+            return block, rows
+
+        monkeypatch.setattr(dataset_pipeline, "_sample_blocks", second_snr_raises)
         out = tmp_path / "sweep.csv"
         before = threading.enumerate()
         with pytest.raises(Boom, match="drawing 5.0"):
