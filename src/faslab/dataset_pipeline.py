@@ -17,7 +17,7 @@ import os
 import struct
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,13 +71,21 @@ _MASK32 = 0xFFFFFFFF
 # future's hand-off) over more rows: paper generation alone ran 24% faster
 # on two threads and 10% on one.
 _SYNTH_BLOCK = 20_480
-# Threads that synthesize blocks at most: draw_samples runs one per CPU the
-# process may use, up to this cap.  A block's time is mostly numpy's sin and
-# cos, which release the GIL, so on two CPUs paper generation ran 1.43x the
-# rows per second.  Opening and drawing a row's stream holds the GIL (19 of
-# ~225 us per paper row, 9 of ~62 per desk row), which bounds what more
-# threads can add.
+# CPUs that draw_samples uses at most: one per CPU the process may use, up
+# to this cap, as the calling thread and one helper thread per CPU beyond
+# the first.  A block's synthesis is mostly numpy's sin and cos, which
+# release the GIL; opening and drawing a row's streams holds it (6 of ~50 us
+# per desk row), so only the calling thread draws.  Helpers that drew their
+# own blocks took generation on two CPUs to only 1.1x the rows per second of
+# one thread at desk shape and 1.6-1.8x at paper shape: each thread's draws
+# waited for the GIL behind the other's synthesis.  With the calling thread
+# drawing, the same in-process timings read 1.5-1.9x (desk) and 1.9-2.0x
+# (paper) on two vCPUs.
 _SYNTH_WORKERS = 4
+# Blocks per run that draw_samples' calling thread draws before it queues
+# their synthesis; two runs at most are in flight.  8 desk blocks draw in
+# about 0.8 ms and take about 7 ms to synthesize on one thread.
+_DRAW_RUN = 8
 
 
 def pack_complex(v: np.ndarray) -> np.ndarray:
@@ -248,9 +256,9 @@ def snr_stream_key(snr_db) -> int:
 def _synth_workers() -> int:
     """Threads for :func:`draw_samples`: the CPUs in this process's affinity
     mask, capped at ``_SYNTH_WORKERS``, and 1 off the main thread, where a
-    caller may run threads of its own.  Every helper thread in faslab (this
-    pool, the sweep's :class:`_TaskLane`, training's GEMM lane) runs only
-    where this is 2 or more."""
+    caller may run threads of its own.  Every helper thread in faslab
+    (:func:`draw_samples`' and the sweep's :class:`_TaskLane`, training's
+    GEMM lane) runs only where this is 2 or more."""
     if threading.current_thread() is not threading.main_thread():
         return 1
     try:
@@ -260,59 +268,34 @@ def _synth_workers() -> int:
     return min(cpus, _SYNTH_WORKERS)
 
 
-@contextlib.contextmanager
-def _in_order(fn, items, threads: int, ahead: int, name: str):
-    """An iterator over ``fn(item)`` for ``items`` in order, computed on
-    ``threads`` threads named ``name_0``, ``name_1``, ... with at most
-    ``ahead`` calls in flight; the first are submitted on entry.  With
-    ``threads == 0`` it maps in the calling thread.  ``items`` is iterated
-    in the calling thread.  An exception raised by a call reaches the
-    consumer at its item; leaving the block cancels the calls not started
-    and joins the threads once the running ones finish.
-    """
-    if threads == 0:
-        yield map(fn, items)
-        return
-    items = iter(items)
-    pool = ThreadPoolExecutor(threads, thread_name_prefix=name)
-    try:
-        pending = deque(pool.submit(fn, item) for item in itertools.islice(items, ahead))
-
-        def results():
-            while pending:
-                result = pending.popleft().result()
-                pending.extend(pool.submit(fn, item) for item in itertools.islice(items, 1))
-                yield result
-
-        yield results()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 class _TaskLane:
-    """One ordered queue of tasks and, with ``helper``, one thread,
-    ``faslab-sweep``, that runs them from the front.
+    """One ordered queue of tasks and one helper thread per name of
+    ``helpers`` that runs them from the front.
 
     The calling thread runs them too, from the front, while it waits for
-    some (:meth:`wait`); without a helper it runs them all, in queue order.
+    some (:meth:`wait`), once a helper has taken a task (so that a lane with
+    helpers uses one even where the calling thread holds the only CPU free);
+    without a helper it runs them all, in queue order.
     Tasks do numpy work only, into arrays that the calling thread allocated
     and keeps: faslab's public functions run on the calling thread.  Each
     task's outcome is a :class:`~concurrent.futures.Future`, whose
     ``result()`` raises the task's exception again.  :meth:`close` drops
-    the tasks not started and joins the helper after the one it runs.
+    the tasks not started and joins the helpers after the ones they run.
     """
 
-    def __init__(self, helper: bool = False):
-        self.runners = 2 if helper else 1
+    def __init__(self, helpers=()):
+        self.runners = 1 + len(helpers)
         self._tasks = deque()
         self._changed = threading.Condition()
         self._closed = False
-        self._thread = None
-        if helper:
-            # A daemon, so that a lane left open cannot hold the interpreter
-            # at exit; task_lane() closes it whatever happens.
-            self._thread = threading.Thread(target=self._serve, name="faslab-sweep", daemon=True)
-            self._thread.start()
+        self._taken = not helpers  # whether a helper has taken a task
+        # Daemons, so that a lane left open cannot hold the interpreter at
+        # exit; its owner closes it whatever happens.
+        self._threads = [
+            threading.Thread(target=self._serve, name=name, daemon=True) for name in helpers
+        ]
+        for thread in self._threads:
+            thread.start()
 
     def submit(self, fns, front: bool = False) -> list[Future]:
         """Queue a task per callable of ``fns``, in order, behind the queued
@@ -328,11 +311,11 @@ class _TaskLane:
 
     def wait(self, futures) -> None:
         """Return once the tasks of ``futures`` have run, running the queued
-        tasks from the front in the meantime."""
+        tasks from the front in the meantime, once a helper has taken one."""
         for future in futures:
             while True:
                 with self._changed:
-                    while not (future.done() or self._tasks):
+                    while not (future.done() or self._tasks and self._taken):
                         self._changed.wait()
                     if future.done():
                         break
@@ -344,8 +327,8 @@ class _TaskLane:
             self._closed = True
             self._tasks.clear()
             self._changed.notify_all()
-        if self._thread is not None:
-            self._thread.join()
+        for thread in self._threads:
+            thread.join()
 
     def _run(self, fn, future: Future) -> None:
         try:
@@ -363,6 +346,9 @@ class _TaskLane:
                 if self._closed:
                     return
                 ready = self._tasks.popleft()
+                if not self._taken:
+                    self._taken = True
+                    self._changed.notify_all()
             self._run(*ready)
 
 
@@ -384,7 +370,7 @@ def task_lane():
     :func:`_synth_workers` finds two CPUs or more, and none otherwise.  It is
     closed on exit, however the block ends, so its helper never outlives
     the block."""
-    lane = _TaskLane(helper=_synth_workers() > 1)
+    lane = _TaskLane(["faslab-sweep"] if _synth_workers() > 1 else [])
     outer = _held_lane()
     _holder.lane = lane
     try:
@@ -397,11 +383,17 @@ def task_lane():
 def _sample_blocks(
     cfg: ExperimentConfig, schedule: SwitchSchedule, snr_db, master_seed: int, n: int
 ):
-    """``(synthesize, rows)`` for the ``n`` samples of :func:`draw_samples`:
-    ``synthesize(lo, h, y)`` writes samples ``lo`` .. ``lo + len(h) - 1``
-    into the caller's complex arrays ``h`` (rows, num_ports) and ``y``
-    (rows, P*M), and ``rows`` is the block size.  A block's result does not
-    depend on the thread that synthesizes it."""
+    """``(draw, finish, rows)`` for the ``n`` samples of :func:`draw_samples`,
+    in blocks of ``rows``.
+
+    ``draw(lo, count)`` opens the streams of samples ``lo`` .. ``lo + count
+    - 1`` and returns their draws: SNR picks, rays and noise normals.
+    ``finish(drawn, h, y)`` synthesizes those samples from their draws into
+    the caller's complex arrays ``h`` (count, num_ports) and ``y`` (count,
+    P*M).  ``draw`` holds the GIL for most of its time (a stream and three
+    fills a row, 6 of ~50 us per desk row); ``finish`` spends most of its in
+    numpy's sin and cos, which release it.  A block's result does not depend
+    on the thread that runs either half."""
     if n > 2**32:
         raise ValueError(f"sample indices must lie in [0, 2**32), got {n} samples")
     geometry = cfg.geometry()
@@ -411,8 +403,7 @@ def _sample_blocks(
     variances = [noise_variance_for_snr(float(s)) for s in (snr_db if mixed else [snr_db])]
     states = _stream_states(master_seed, snr_stream_key(snr_db), np.arange(n, dtype=np.uint32))
 
-    def synthesize(lo: int, h: np.ndarray, y: np.ndarray) -> None:
-        count = len(h)
+    def draw(lo: int, count: int):
         rays = RayDraws.empty(scattering, (count,))
         # Zeroed so that the rows of a noiseless sample hold finite values.
         normals = np.zeros((count, 2, flat.size))
@@ -423,11 +414,15 @@ def _sample_blocks(
             rays.draw(rng, j)
             if sigma2[j] > 0:
                 rng.standard_normal(out=normals[j])
+        return rays, normals, sigma2
+
+    def finish(drawn, h: np.ndarray, y: np.ndarray) -> None:
+        rays, normals, sigma2 = drawn
         h[...] = channel_from_rays(rays.angles(), rays.gains(), geometry)
         np.take(h, flat, axis=1, out=y, mode="clip")
         add_noise(y, normals, sigma2)
 
-    return synthesize, max(16, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
+    return draw, finish, max(16, _SYNTH_BLOCK // (cfg.num_ports * scattering.num_rays))
 
 
 def draw_samples(
@@ -448,34 +443,52 @@ def draw_samples(
     per-sample stream, then the channel, then the noise; a noise variance of
     0 draws no noise).
 
-    Blocks are synthesized (see :func:`_sample_blocks`) through
-    :func:`_in_order` on up to :func:`_synth_workers` threads, each with two
-    blocks or more, two blocks per thread in flight; with one CPU, off the
-    main thread, or with fewer than four blocks, in the calling thread,
-    which allocates every block's arrays.  Block boundaries and arithmetic
-    do not depend on the thread count, so neither does any byte.
+    The calling thread draws every block (see :func:`_sample_blocks`), in
+    runs of ``_DRAW_RUN`` blocks, into arrays it allocates, and queues their
+    synthesis on a :class:`_TaskLane`.  It draws the next run while the
+    lane's helpers (``faslab-synth_0``, ...) synthesize the current one,
+    then synthesizes from the same queue until that run is done, and yields
+    it; so two runs at most are in flight, whatever ``n``.  The lane has one
+    helper per CPU of :func:`_synth_workers` beyond the first, each CPU
+    taking two blocks or more: with one CPU, off the main thread, or with
+    fewer than four blocks, the calling thread synthesizes every block
+    itself.  A helper never opens a stream: helpers that drew their own
+    blocks waited for the GIL behind each other's per-row draws.  An
+    exception raised by a draw or a synthesis reaches the consumer, and
+    leaving the generator joins the helpers.  Block boundaries and
+    arithmetic do not depend on the thread count, so neither does any byte.
     """
-    synthesize, rows = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
+    draw, finish, rows = _sample_blocks(cfg, schedule, snr_db, master_seed, n)
     starts = range(0, n, rows)
+    # A helper pays for its start from two blocks a CPU on: two blocks ran
+    # 7% (paper) to 17% (desk) slower on two threads than in one.
+    workers = min(_synth_workers(), len(starts) // 2)
+    lane = _TaskLane([f"faslab-synth_{i}" for i in range(workers - 1)])
 
-    def blocks():
-        for lo in starts:
+    def queue(run):
+        blocks, tasks = [], []
+        for lo in run:
             count = min(rows, n - lo)
             h = np.empty((count, cfg.num_ports), dtype=complex)
-            yield lo, h, np.empty((count, schedule.num_samples), dtype=complex)
+            y = np.empty((count, schedule.num_samples), dtype=complex)
+            blocks.append((lo, h, y))
+            tasks.append(functools.partial(finish, draw(lo, count), h, y))
+        return blocks, lane.submit(tasks)
 
-    def run(block):
-        synthesize(*block)
-        return block
+    def finished(blocks, futures):
+        lane.wait(futures)
+        for block, future in zip(blocks, futures):
+            future.result()
+            yield block
 
-    # A thread pays for its start from two blocks on: two blocks ran 7%
-    # (paper) to 17% (desk) slower on two threads than in one; four broke
-    # even on desk and ran 32% faster at paper shape.
-    workers = min(_synth_workers(), len(starts) // 2)
-    if workers <= 1:
-        workers = 0
-    with _in_order(run, blocks(), workers, 2 * workers, "faslab-synth") as done:
-        yield from done
+    queued = deque()
+    with contextlib.closing(lane):
+        for i in range(0, len(starts), _DRAW_RUN):
+            queued.append(queue(starts[i : i + _DRAW_RUN]))
+            if len(queued) == 2:
+                yield from finished(*queued.popleft())
+        while queued:
+            yield from finished(*queued.popleft())
 
 
 def queue_test_sets(lane: _TaskLane, cfg: ExperimentConfig, schedule: SwitchSchedule):
@@ -484,23 +497,24 @@ def queue_test_sets(lane: _TaskLane, cfg: ExperimentConfig, schedule: SwitchSche
     :func:`draw_samples` from the test seed's own stream family.
 
     Each set's blocks (see :func:`_sample_blocks`) are tasks on ``lane``,
-    writing into two arrays that the calling thread allocates.  The first
-    set is queued at the call and each later one when the set before it is
-    handed out, so the lane draws at most one set ahead of the caller.
-    Asking for a set waits for its blocks (see :meth:`_TaskLane.wait`);
-    an exception raised by one of them is raised then, at its SNR.
+    each drawing and synthesizing its rows into two arrays that the calling
+    thread allocates.  The first set is queued at the call and each later
+    one when the set before it is handed out, so the lane draws at most one
+    set ahead of the caller.  Asking for a set waits for its blocks (see
+    :meth:`_TaskLane.wait`); an exception raised by one of them is raised
+    then, at its SNR.
     """
     n = cfg.n_test_samples
 
     def queue(snr):
-        synthesize, rows = _sample_blocks(cfg, schedule, snr, cfg.seeds.test, n)
+        draw, finish, rows = _sample_blocks(cfg, schedule, snr, cfg.seeds.test, n)
         h = np.empty((n, cfg.num_ports), dtype=complex)
         y = np.empty((n, schedule.num_samples), dtype=complex)
-        futures = lane.submit(
-            functools.partial(synthesize, lo, h[lo : lo + rows], y[lo : lo + rows])
-            for lo in range(0, n, rows)
-        )
-        return h, y, futures
+
+        def block(lo):
+            finish(draw(lo, min(rows, n - lo)), h[lo : lo + rows], y[lo : lo + rows])
+
+        return h, y, lane.submit(functools.partial(block, lo) for lo in range(0, n, rows))
 
     snrs = iter(cfg.snr_db_list)
     queued = [queue(snr) for snr in itertools.islice(snrs, 1)]

@@ -619,13 +619,13 @@ class TestSweepLanes:
         omp_estimate = experiment_cli.omp_estimate
 
         def drawing(cfg, schedule, snr, *args):
-            synthesize, rows = sample_blocks(cfg, schedule, snr, *args)
+            draw, finish, rows = sample_blocks(cfg, schedule, snr, *args)
 
-            def block(lo, h, y):
+            def block(lo, count):
                 events.append(("draw", snr, threading.current_thread()))
-                synthesize(lo, h, y)
+                return draw(lo, count)
 
-            return block, rows
+            return block, finish, rows
 
         def scoring(pilots, *args):
             estimate = omp_estimate(pilots, *args)
@@ -666,14 +666,14 @@ class TestSweepLanes:
         sample_blocks = dataset_pipeline._sample_blocks
 
         def second_snr_raises(cfg, schedule, snr, *args):
-            synthesize, rows = sample_blocks(cfg, schedule, snr, *args)
+            draw, finish, rows = sample_blocks(cfg, schedule, snr, *args)
 
-            def block(lo, h, y):
+            def block(lo, count):
                 if snr == cfg.snr_db_list[1]:
                     raise Boom(f"drawing {snr}")
-                synthesize(lo, h, y)
+                return draw(lo, count)
 
-            return block, rows
+            return block, finish, rows
 
         monkeypatch.setattr(dataset_pipeline, "_sample_blocks", second_snr_raises)
         out = tmp_path / "sweep.csv"

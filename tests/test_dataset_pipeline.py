@@ -207,6 +207,14 @@ def record_threads(monkeypatch) -> list:
     return threads
 
 
+def assert_synthesized_on(threads, caller, pooled):
+    """Every block of ``threads`` ran on ``caller`` or on a pool thread, and
+    one or more on a pool thread exactly when ``pooled``."""
+    helpers = {thread for thread in threads if thread is not caller}
+    assert all(thread.name.startswith("faslab-synth_") for thread in helpers)
+    assert bool(helpers) == pooled
+
+
 class TestSynthesisPool:
     """draw_samples' blocks on a thread pool: the bytes, the order, and
     what the pool leaves behind."""
@@ -218,7 +226,7 @@ class TestSynthesisPool:
         threads = record_threads(monkeypatch)
         runs = {}
         interval = sys.getswitchinterval()
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             synth_workers(monkeypatch, workers)
             threads.clear()
             sys.setswitchinterval(1e-5)  # threads interleave as often as they can
@@ -228,13 +236,31 @@ class TestSynthesisPool:
                 )
             finally:
                 sys.setswitchinterval(interval)
-            pooled = threading.current_thread() not in threads
-            assert pooled == (workers > 1)
-        assert [lo for lo, _, _ in runs[3]] == list(range(0, n, 16))
-        assert len(runs[1]) == len(runs[3])
-        for (lo1, h1, y1), (lo3, h3, y3) in zip(runs[1], runs[3]):
-            assert lo1 == lo3
-            assert np.array_equal(h1, h3) and np.array_equal(y1, y3)
+            assert_synthesized_on(threads, threading.current_thread(), workers > 1)
+        for workers in (2, 3):
+            assert [lo for lo, _, _ in runs[workers]] == list(range(0, n, 16))
+            assert len(runs[1]) == len(runs[workers])
+            for (lo1, h1, y1), (lo2, h2, y2) in zip(runs[1], runs[workers]):
+                assert lo1 == lo2
+                assert np.array_equal(h1, h2) and np.array_equal(y1, y2)
+
+    def test_streams_open_on_the_calling_thread(self, monkeypatch):
+        synth_workers(monkeypatch, 3)
+        blocks = record_threads(monkeypatch)
+        streams = []
+        stream = dataset_pipeline._stream
+
+        def recording(state):
+            streams.append(threading.current_thread())
+            return stream(state)
+
+        monkeypatch.setattr(dataset_pipeline, "_stream", recording)
+        cfg = desk_profile()  # 16 rows per block: 25 blocks, in 4 runs
+        n = 400
+        assert len(list(dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, n))) == 25
+        assert streams == [threading.current_thread()] * n
+        assert len(blocks) == 25
+        assert_synthesized_on(blocks, threading.current_thread(), pooled=True)
 
     def test_fewer_than_four_blocks_run_in_the_calling_thread(self, monkeypatch):
         synth_workers(monkeypatch, 3)
@@ -243,7 +269,7 @@ class TestSynthesisPool:
         for n, pooled in ((1, False), (48, False), (49, True)):
             threads.clear()
             list(dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, n))
-            assert (threading.current_thread() not in threads) == pooled
+            assert_synthesized_on(threads, threading.current_thread(), pooled)
 
     def test_off_the_main_thread_blocks_run_in_the_calling_thread(self, monkeypatch):
         synth_workers(monkeypatch, 3)
@@ -251,7 +277,7 @@ class TestSynthesisPool:
         cfg = desk_profile()  # 16 rows per block: 7 blocks
         schedule = cfg.build_schedule()
         on_main = list(dataset_pipeline.draw_samples(cfg, schedule, 0.0, 1, 100))
-        assert threading.current_thread() not in threads  # pooled on the main thread
+        assert_synthesized_on(threads, threading.current_thread(), pooled=True)
         threads.clear()
         started = []
         start = threading.Thread.start
@@ -309,6 +335,32 @@ class TestSynthesisPool:
                 pass
         assert threading.active_count() == before
 
+    # Row 20 is drawn before any block is queued, row 150 while the first
+    # run's blocks are in flight.
+    @pytest.mark.parametrize("row", [20, 150])
+    def test_an_exception_in_a_draw_reaches_the_consumer(self, monkeypatch, row):
+        synth_workers(monkeypatch, 3)
+
+        class Boom(RuntimeError):
+            pass
+
+        calls = []
+        stream = dataset_pipeline._stream
+
+        def raising(state):
+            calls.append(None)
+            if len(calls) == row + 1:
+                raise Boom(f"row {row}")
+            return stream(state)
+
+        monkeypatch.setattr(dataset_pipeline, "_stream", raising)
+        cfg = desk_profile()
+        before = threading.active_count()
+        with pytest.raises(Boom, match=f"row {row}"):
+            for _ in dataset_pipeline.draw_samples(cfg, cfg.build_schedule(), 0.0, 1, 400):
+                pass
+        assert threading.active_count() == before
+
     def test_blocks_in_flight_bound_the_heap_not_n(self, monkeypatch):
         synth_workers(monkeypatch, 3)
         cfg = desk_profile()
@@ -330,7 +382,8 @@ class TestSynthesisPool:
 
         small, large = peak(16), peak(640)
         # Holding all 640 blocks' (h, y) takes 20 MB; the stream seeds grow
-        # by 32 bytes a row (0.3 MB).
+        # by 32 bytes a row (0.3 MB).  Both runs hold the same two drawn-ahead
+        # runs of 8 blocks at most, each block's draws, h and y taking 57 KB.
         assert large - small < 4 * 2**20
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
