@@ -613,14 +613,16 @@ def train(
     return MlpParams.from_flat(best.astype(float, copy=False), *dims), normalizers, report
 
 
-# Multiply-adds from which a product is worth two threads.  On a 2-vCPU VM
-# with one BLAS thread, a paper-shape float32 step (batch 256, every product
-# 2**26) took 15.4 ms split against 21.1 ms; a desk-shape float64 step
-# (batch 64, at most 2**22 a product) took 3.78 ms with every product split
-# against 3.24 ms.  It also keeps each half far above the sizes where
-# OpenBLAS switches kernels: a 77 x 300 x 130 product split at most of its
-# rows does not round as it does whole.
-_SPLIT_MIN = 1 << 24
+# Multiply-adds from which each half of a split product is worth a hand-off
+# to the lane's helper.  The bound sits on the halves, not on the whole
+# product, because the halves are what BLAS runs: each must keep clear of
+# the small sizes where OpenBLAS takes other kernels.  With forward's x @ w.T
+# layout, a 64 x 64 x 64 product split at 16 or 48 rows does not round as it
+# does whole; desk's 64-row batches split at row 32 into halves of 2**20 or
+# 2**21, which do, in float32 and float64.  On a 2-vCPU VM with one BLAS
+# thread, desk float64 training (batch 64, a 128-256-128 net, 540 rows)
+# took 2.13 ms a step through the lane against 2.48 ms without one.
+_SPLIT_MIN = 1 << 20
 # The split falls on a multiple of this many rows, which BLAS register-tile
 # heights divide, so both halves start where a tile of the unsplit product
 # starts.  (Paper-shape products split 4 rows or more from either end gave
@@ -683,10 +685,11 @@ def _split_row(rows: int, *sizes: int) -> int:
     """The row at which a lane splits a chain of products with ``rows``
     output rows each, whose other two dimensions multiply to ``sizes``: a
     multiple of :data:`_SPLIT_ROWS` near the middle, or 0 (no split) when
-    that is 0 or a product takes fewer than :data:`_SPLIT_MIN`
-    multiply-adds."""
+    that is 0 or a product over the first half's rows takes fewer than
+    :data:`_SPLIT_MIN` multiply-adds.  The second half has at least as many
+    rows."""
     half = rows // 2 // _SPLIT_ROWS * _SPLIT_ROWS
-    return half if all(rows * size >= _SPLIT_MIN for size in sizes) else 0
+    return half if all(half * size >= _SPLIT_MIN for size in sizes) else 0
 
 
 def _by_rows(lane: _GemmLane | None, half: int, job, *arrays) -> None:
@@ -704,14 +707,14 @@ def _by_rows(lane: _GemmLane | None, half: int, job, *arrays) -> None:
 
 def _gemm_lane_on(rows: int, d_in: int, hidden: int, d_out: int) -> bool:
     """Whether :func:`train` runs a :class:`_GemmLane` for batches of
-    ``rows`` rows through a ``d_in``-``hidden``-``d_out`` net: when the
-    batch's largest product reaches :data:`_SPLIT_MIN`, the first of
+    ``rows`` rows through a ``d_in``-``hidden``-``d_out`` net: when
+    :func:`_split_row` splits the batch's largest product, the first of
     ``_BLAS_THREAD_VARS`` that is set reads 1 (BLAS leaves the other CPUs
     idle) and :func:`_synth_workers` finds two CPUs or more (in the affinity
     mask, on the main thread)."""
     blas = next((v for v in map(os.environ.get, _BLAS_THREAD_VARS) if v is not None), "")
-    return (
-        rows * hidden * max(d_in, hidden, d_out) >= _SPLIT_MIN
+    return bool(
+        _split_row(rows, hidden * max(d_in, hidden, d_out))
         and blas.strip() == "1"
         and _synth_workers() >= 2
     )

@@ -1,6 +1,6 @@
 """Golden artifact bytes: SHA-256 of every file the quick start writes.
 
-Four tiny fixed desk configs run generate -> train -> sweep; the digests of
+Five small fixed desk configs run generate -> train -> sweep; the digests of
 the FASD, FASM, convergence CSV and sweep CSV files were recorded once and
 must not move.  One fixed pilot CSV run through one of those models pins
 the eval-single CSV the same way.  A refactor or speed-up that changes one of them changed
@@ -47,13 +47,18 @@ def golden_config(tmp_path, **overrides):
 
 # Sequential full coverage with one model per SNR, a random schedule that
 # revisits ports (48 samples over 32 ports) with one mixed-SNR model, the
-# sequential config with more validation rows (120) than the batch (32), and
-# the sequential config trained in float32.
+# sequential config with more validation rows (120) than the batch (32), the
+# sequential config trained in float32, and the sequential config at desk
+# training shapes (a 128-256-128 net, batch 64), whose full batches a GEMM
+# lane splits at row 32 where BLAS runs one thread and a second CPU is free.
 CONFIGS = {
     "sequential": {},
     "random_mixed": {"schedule_kind": "random", "num_slots": 12, "mixed_snr": True},
     "sequential_wide_val": {"rho": 0.4},
     "sequential_float32": {"compute_dtype": "float32"},
+    "sequential_desk_shapes": {
+        "num_ports": 64, "num_slots": 16, "hidden_width": 256, "batch_size": 64
+    },
 }
 
 GOLDEN = {
@@ -92,6 +97,17 @@ GOLDEN = {
         "snr+10.0dB.fasm": "14a5d451948d9cf3634b89bfc8bf360018756b803d483b527f38db47df0c15bb",
         "convergence_snr+10.0dB.csv": "6fdc0e4d5e18bfa7f19692c26f0b22af79b93221440debf3d319bc705444727c",
         "sweep.csv": "df73259422513e8fcd2abe0e134d0523f6a528c1823bc80a3ab24621b10163fc",
+    },
+    # Recorded before desk batches trained through the GEMM lane, and the
+    # same with the lane: a split leaves every byte alone.
+    "sequential_desk_shapes": {
+        "snr-10.0dB.fasd": "67727f90c48e45a4f919b40277650360333ef1c2d9caab765a6d16d904b3a248",
+        "snr-10.0dB.fasm": "8b1111428c7f8944ff6ad02b104f6abc3fbd97bdad23fc7ae545585fb93fda37",
+        "convergence_snr-10.0dB.csv": "b8f8d64a85f79e6c98665487f5fc0a9b0bd7df8a4c7e7d9024276c0a020bee84",
+        "snr+10.0dB.fasd": "3d5ea4f11990bdb0502c822ad914ba2559ee00056d97dbe607e6ae9d69967115",
+        "snr+10.0dB.fasm": "807a12a7f6036e14cebf65c78075d66eb0cdc533a32d0ebb30406d8f0dd25ec9",
+        "convergence_snr+10.0dB.csv": "ccc046f2cf170138d4081c1b9bcf6884fab8dd619a21af606a19b05dd0594b28",
+        "sweep.csv": "785e3429a520a806768d965caf2fb3484ad9bf7456b81aa332fd39581642dc6d",
     },
 }
 

@@ -934,6 +934,36 @@ def counted_lane(jobs):
     return lane
 
 
+def desk_dataset(n, seed):
+    """Rows of the desk profile's widths: 2 * 16 slots * 4 antennas
+    features, 2 * 64 port targets."""
+    return toy_dataset(n, width_in=128, width_out=128, seed=seed)
+
+
+def assert_lane_on_and_off_write_the_same_bytes(monkeypatch, tmp_path, train_ds, val_ds, hyper):
+    """``train`` with the lane forced off, then on, writes the same FASM
+    bytes and convergence CSV, and a ``faslab-gemm`` thread is alive at each
+    forward pass exactly when the lane is on."""
+    seen = []
+
+    def watched_forward(*args, **kwargs):
+        seen.append(len(gemm_threads()))
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(mlp_estimator, "forward", watched_forward)
+    written = {}
+    for on in (False, True):
+        monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims, on=on: on)
+        del seen[:]
+        params, normalizers, report = train(
+            train_ds, val_ds, hyper, np.random.default_rng(84), np.random.default_rng(85)
+        )
+        assert set(seen) == {int(on)}
+        save_model(tmp_path / "m.fasm", params, normalizers)
+        written[on] = ((tmp_path / "m.fasm").read_bytes(), report_to_csv(report))
+    assert written[True] == written[False]
+
+
 class TestGemmLane:
     """The helper thread train() splits large products over: same bytes, no
     thread left behind, and only where a CPU would otherwise sit idle."""
@@ -972,34 +1002,64 @@ class TestGemmLane:
         finally:
             lane.close()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_desk_batches_split_at_row_32_bit_equal(self, dtype):
+        # Desk dims at the real bound: a full 64-row batch splits forward's
+        # rows, backward's upstream rows and the weight gradients' output
+        # rows, each half product 2**20 or 2**21 multiply-adds, and equals
+        # the unsplit pass bit for bit.  The 60-row validation pass and a
+        # 28-row last batch hand the helper nothing.
+        p = random_net(128, 256, 128, 104)
+        if dtype == np.float32:
+            p = float32_net(p)
+        rng = np.random.default_rng(105)
+        jobs = []
+        lane = counted_lane(jobs)
+        try:
+            split_cache = ForwardCache()
+            split_cache.lane = lane
+            for rows, count in ((64, 3), (60, 0), (28, 0)):
+                x = rng.standard_normal((rows, 128)).astype(dtype)
+                d_out = rng.standard_normal((rows, 128)).astype(dtype)
+                y, cache = forward(p, x)
+                grads = backward(p, cache, d_out)
+                del jobs[:]
+                y_split, _ = forward(p, x, split_cache)
+                grads_split = backward(p, split_cache, d_out, out=p.zeros_like())
+                assert len(jobs) == count, rows
+                assert np.array_equal(y_split, y), rows
+                assert np.array_equal(grads_split.flat, grads.flat), rows
+        finally:
+            lane.close()
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_train_writes_the_same_bytes_with_the_lane_on_and_off(
         self, monkeypatch, tmp_path, dtype
     ):
         # 307 rows at batch 256 leave a 51-row last batch; 205 validation rows.
-        train_ds, val_ds = paper_dataset(307, seed=82), paper_dataset(205, seed=83)
         hyper = Hyperparams(
             hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=3,
             patience=5, compute_dtype=dtype,
         )
-        seen = []
+        assert_lane_on_and_off_write_the_same_bytes(
+            monkeypatch, tmp_path, paper_dataset(307, seed=82), paper_dataset(205, seed=83),
+            hyper,
+        )
 
-        def watched_forward(*args, **kwargs):
-            seen.append(len(gemm_threads()))
-            return forward(*args, **kwargs)
-
-        monkeypatch.setattr(mlp_estimator, "forward", watched_forward)
-        written = {}
-        for on in (False, True):
-            monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims, on=on: on)
-            del seen[:]
-            params, normalizers, report = train(
-                train_ds, val_ds, hyper, np.random.default_rng(84), np.random.default_rng(85)
-            )
-            assert set(seen) == {int(on)}
-            save_model(tmp_path / "m.fasm", params, normalizers)
-            written[on] = ((tmp_path / "m.fasm").read_bytes(), report_to_csv(report))
-        assert written[True] == written[False]
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_desk_train_writes_the_same_bytes_with_the_lane_on_and_off(
+        self, monkeypatch, tmp_path, dtype
+    ):
+        # 540 rows at batch 64 leave a 28-row last batch, which stays whole,
+        # as do the 60 validation rows; the full batches split at row 32.
+        hyper = Hyperparams(
+            hidden_width=256, learning_rate=7e-4, batch_size=64, max_epochs=3,
+            patience=5, compute_dtype=dtype,
+        )
+        assert_lane_on_and_off_write_the_same_bytes(
+            monkeypatch, tmp_path, desk_dataset(540, seed=102), desk_dataset(60, seed=103),
+            hyper,
+        )
 
     def test_no_thread_outlives_train(self, monkeypatch):
         monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims: True)
@@ -1049,17 +1109,21 @@ class TestGemmLane:
         # Three callers, each with its own lane: six threads on the CPUs of
         # the machine, handing off as often as the interpreter lets them.
         # Each runs whole steps (forward, loss, backward, Adam) at paper dims
-        # through its lane and checks every output against the lane-off step.
+        # and on 64-row desk batches through its lane, and checks every
+        # output against the lane-off step.
         rng = np.random.default_rng(95)
         cases = []
         for dtype in (np.float32, np.float64):
-            start = random_net(512, 512, 512, 96)
-            if dtype == np.float32:
-                start = float32_net(start)
-            for rows in (256, 205, 51):
-                x = rng.standard_normal((rows, 512)).astype(dtype)
-                target = rng.standard_normal((rows, 512)).astype(dtype)
-                cases.append((start, x, target, whole_step(start, x, target, None)))
+            for (d_in, hidden, d_out), batches in (
+                ((512, 512, 512), (256, 205, 51)), ((128, 256, 128), (64,))
+            ):
+                start = random_net(d_in, hidden, d_out, 96)
+                if dtype == np.float32:
+                    start = float32_net(start)
+                for rows in batches:
+                    x = rng.standard_normal((rows, d_in)).astype(dtype)
+                    target = rng.standard_normal((rows, d_out)).astype(dtype)
+                    cases.append((start, x, target, whole_step(start, x, target, None)))
         failures = []
         deadline = time.monotonic() + 1.5
 
@@ -1091,8 +1155,8 @@ class TestGemmLane:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_a_full_paper_batch_hands_off_four_times_a_step(self, dtype):
         # One job each for forward, backward's upstream rows, the weight
-        # gradients and Adam.  A 51-row last batch splits no product, so
-        # only Adam goes to the helper.
+        # gradients and Adam.  A 51-row last batch splits at row 16, whose
+        # half products clear the bound, so it hands off four times too.
         p = random_net(512, 512, 512, 97)
         if dtype == np.float32:
             p = float32_net(p)
@@ -1100,7 +1164,7 @@ class TestGemmLane:
         jobs = []
         lane = counted_lane(jobs)
         try:
-            for rows, count in ((256, 4), (51, 1)):
+            for rows, count in ((256, 4), (51, 4)):
                 x = rng.standard_normal((rows, 512)).astype(dtype)
                 del jobs[:]
                 whole_step(p, x, x, lane)
@@ -1122,13 +1186,14 @@ class TestGemmLane:
             hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=1, patience=0,
             compute_dtype="float32",
         )
-        # Two full batches; 40 validation rows split no product.
+        # Two full batches, four hand-offs each, and the 40-row validation
+        # pass, which splits at row 16: one more.
         train(paper_dataset(512, 99), paper_dataset(40, 100), hyper, np.random.default_rng(101))
-        assert calls == ["MainThread"] * 8
+        assert calls == ["MainThread"] * 9
         assert gemm_threads() == []
 
     def test_lane_only_where_a_cpu_would_sit_idle(self, monkeypatch):
-        paper, desk = (256, 512, 512, 512), (64, 128, 256, 128)
+        paper, desk, golden = (256, 512, 512, 512), (64, 128, 256, 128), (32, 64, 16, 64)
         monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0, 1})
         for name in mlp_estimator._BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
@@ -1145,8 +1210,10 @@ class TestGemmLane:
         assert not mlp_estimator._gemm_lane_on(*paper)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert mlp_estimator._gemm_lane_on(*paper)
-        # Desk dims: the largest product (64 x 256 x 256) stays below the bound.
-        assert not mlp_estimator._gemm_lane_on(*desk)
+        # Desk dims: the largest product's halves (32 x 256 x 256) clear the
+        # bound.  The golden nets' (16 x 16 x 64) do not.
+        assert mlp_estimator._gemm_lane_on(*desk)
+        assert not mlp_estimator._gemm_lane_on(*golden)
         off_main = []
         t = threading.Thread(target=lambda: off_main.append(mlp_estimator._gemm_lane_on(*paper)))
         t.start()
@@ -1155,17 +1222,40 @@ class TestGemmLane:
         monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0})
         assert not mlp_estimator._gemm_lane_on(*paper)
 
-    def test_desk_training_starts_no_thread(self, monkeypatch):
+    def started_lanes(self, monkeypatch):
+        """The threads of the lanes built from here on, on a two-CPU mask
+        with one BLAS thread."""
         monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         started = []
-        monkeypatch.setattr(mlp_estimator._GemmLane, "__init__", lambda self: started.append(1))
+        real_init = mlp_estimator._GemmLane.__init__
+
+        def init(lane):
+            real_init(lane)
+            started.append(lane._thread)
+
+        monkeypatch.setattr(mlp_estimator._GemmLane, "__init__", init)
+        return started
+
+    def test_desk_training_starts_one_thread(self, monkeypatch):
+        started = self.started_lanes(monkeypatch)
         hyper = Hyperparams(
             hidden_width=256, learning_rate=7e-4, batch_size=64, max_epochs=1, patience=0
         )
-        train(toy_dataset(200, width_in=128, width_out=128, seed=96),
-              toy_dataset(400, width_in=128, width_out=128, seed=97), hyper,
+        train(desk_dataset(200, seed=96), desk_dataset(400, seed=97), hyper,
               np.random.default_rng(98))
+        assert [t.name for t in started] == ["faslab-gemm"]
+        assert not started[0].is_alive()
+        assert gemm_threads() == []
+
+    def test_golden_size_training_starts_no_thread(self, monkeypatch):
+        started = self.started_lanes(monkeypatch)
+        hyper = Hyperparams(
+            hidden_width=16, learning_rate=1e-3, batch_size=32, max_epochs=1, patience=0
+        )
+        train(toy_dataset(240, width_in=64, width_out=64, seed=99),
+              toy_dataset(60, width_in=64, width_out=64, seed=100), hyper,
+              np.random.default_rng(101))
         assert started == []
 
 
