@@ -7,7 +7,6 @@ per-port least-squares/shrinkage reconstruction on the observed ports.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import queue
 import threading
@@ -307,8 +306,8 @@ def omp_estimate(
     try:
         first = run(starts[0])
     finally:
-        lane.wait(later)
-    for dropped in itertools.chain([first], (future.result() for future in later)):
+        rest = lane.wait(later)
+    for dropped in [first, *rest]:
         for atom in dropped:
             warnings.warn(
                 f"dropping atom {atom}: support system would be rank-deficient",

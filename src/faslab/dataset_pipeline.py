@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import operator
 import os
+import queue
 import struct
 import threading
 from collections import deque
@@ -256,9 +257,8 @@ def snr_stream_key(snr_db) -> int:
 def _synth_workers() -> int:
     """Threads for :func:`draw_samples`: the CPUs in this process's affinity
     mask, capped at ``_SYNTH_WORKERS``, and 1 off the main thread, where a
-    caller may run threads of its own.  Every helper thread in faslab
-    (:func:`draw_samples`' and the sweep's :class:`_TaskLane`, training's
-    GEMM lane) runs only where this is 2 or more."""
+    caller may run threads of its own.  Every helper thread in faslab, a
+    :class:`_TaskLane`'s, runs only where this is 2 or more."""
     if threading.current_thread() is not threading.main_thread():
         return 1
     try:
@@ -270,25 +270,29 @@ def _synth_workers() -> int:
 
 class _TaskLane:
     """One ordered queue of tasks and one helper thread per name of
-    ``helpers`` that runs them from the front.
+    ``helpers`` that runs them from the front; faslab starts threads nowhere
+    else (generation, the sweep and training each run a lane).
 
     The calling thread runs them too, from the front, while it waits for
     some (:meth:`wait`), once a helper has taken a task (so that a lane with
     helpers uses one even where the calling thread holds the only CPU free);
-    without a helper it runs them all, in queue order.
-    Tasks do numpy work only, into arrays that the calling thread allocated
-    and keeps: faslab's public functions run on the calling thread.  Each
-    task's outcome is a :class:`~concurrent.futures.Future`, whose
-    ``result()`` raises the task's exception again.  :meth:`close` drops
-    the tasks not started and joins the helpers after the ones they run.
+    without a helper it runs them all, in queue order.  Tasks do numpy work
+    that releases the GIL, into arrays that the calling thread allocated
+    and keeps; that thread opens every random stream and runs faslab's
+    public functions.  Each task's outcome is a
+    :class:`~concurrent.futures.Future`.  :meth:`close` drops the tasks not
+    started and joins the helpers after the ones they run.
     """
 
     def __init__(self, helpers=()):
         self.runners = 1 + len(helpers)
         self._tasks = deque()
         self._changed = threading.Condition()
-        self._closed = False
         self._taken = not helpers  # whether a helper has taken a task
+        # True per task queued, a task of both() to run at once, or None per
+        # helper at close: helpers sleep here, not in the condition, so that
+        # a hand-off's wake-up and the helper's way back to sleep stay short.
+        self._wakes = queue.SimpleQueue()
         # Daemons, so that a lane left open cannot hold the interpreter at
         # exit; its owner closes it whatever happens.
         self._threads = [
@@ -299,34 +303,41 @@ class _TaskLane:
 
     def submit(self, fns, front: bool = False) -> list[Future]:
         """Queue a task per callable of ``fns``, in order, behind the queued
-        ones or, with ``front``, ahead of them; returns their futures."""
+        ones or, with ``front``, ahead of them; returns their futures.  Only
+        the thread that waits for them submits."""
         tasks = [(fn, Future()) for fn in fns]
-        with self._changed:
-            if front:
-                self._tasks.extendleft(reversed(tasks))
-            else:
-                self._tasks.extend(tasks)
-            self._changed.notify_all()
+        # A deque's appends and pops are thread-safe, so it needs no lock.
+        if front:
+            self._tasks.extendleft(reversed(tasks))
+        else:
+            self._tasks.extend(tasks)
+        if self._threads:
+            for _ in tasks:
+                self._wakes.put(True)
         return [future for _, future in tasks]
 
-    def wait(self, futures) -> None:
-        """Return once the tasks of ``futures`` have run, running the queued
-        tasks from the front in the meantime, once a helper has taken one."""
+    def wait(self, futures) -> list:
+        """The results of the tasks of ``futures``, in order, once all have
+        run, running the queued tasks from the front in the meantime, once a
+        helper has taken one; the first of their exceptions is raised."""
         for future in futures:
             while True:
                 with self._changed:
                     while not (future.done() or self._tasks and self._taken):
                         self._changed.wait()
-                    if future.done():
-                        break
+                if future.done():
+                    break
+                try:
                     ready = self._tasks.popleft()
+                except IndexError:  # a helper took the last one
+                    continue
                 self._run(*ready)
+        return [future.result() for future in futures]
 
     def close(self) -> None:
-        with self._changed:
-            self._closed = True
-            self._tasks.clear()
-            self._changed.notify_all()
+        self._tasks.clear()
+        for _ in self._threads:
+            self._wakes.put(None)
         for thread in self._threads:
             thread.join()
 
@@ -339,17 +350,51 @@ class _TaskLane:
             self._changed.notify_all()
 
     def _serve(self) -> None:
-        while True:
-            with self._changed:
-                while not (self._closed or self._tasks):
-                    self._changed.wait()
-                if self._closed:
-                    return
+        for wake in iter(self._wakes.get, None):
+            if wake is not True:  # a task of both(), which signals its own end
+                wake()
+                continue
+            try:
                 ready = self._tasks.popleft()
-                if not self._taken:
+            except IndexError:  # the calling thread ran its task, or close dropped it
+                continue
+            if not self._taken:
+                with self._changed:
                     self._taken = True
                     self._changed.notify_all()
             self._run(*ready)
+
+
+def both(lane: _TaskLane, here, there) -> None:
+    """``here()`` on the calling thread while a helper of ``lane`` (it needs
+    one) runs ``there()``; returns once both are done, and raises again an
+    exception of ``there()``'s.  The task carries no future, and this
+    thread waits on a lock the task releases: training hands off four times
+    a step, and a future or :meth:`_TaskLane.wait` cost desk training speed.
+    """
+    done = threading.Lock()
+    done.acquire()
+    errors = []
+
+    def task():
+        try:
+            there()
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+        finally:
+            done.release()
+
+    # Straight to a helper: a future, or the queue's bookkeeping, would hold
+    # the interpreter lock just as this thread wakes.
+    lane._wakes.put(task)
+    try:
+        here()
+    finally:
+        # The helper writes into the caller's arrays: wait for it whatever
+        # happened here.
+        done.acquire()
+    if errors:
+        raise errors[0]
 
 
 # The lane each thread holds inside a task_lane() block.  Thread-local, so a
@@ -477,9 +522,7 @@ def draw_samples(
 
     def finished(blocks, futures):
         lane.wait(futures)
-        for block, future in zip(blocks, futures):
-            future.result()
-            yield block
+        return blocks
 
     queued = deque()
     with contextlib.closing(lane):
@@ -496,13 +539,14 @@ def queue_test_sets(lane: _TaskLane, cfg: ExperimentConfig, schedule: SwitchSche
     ``cfg.snr_db_list`` in order: the ``cfg.n_test_samples`` rows of
     :func:`draw_samples` from the test seed's own stream family.
 
-    Each set's blocks (see :func:`_sample_blocks`) are tasks on ``lane``,
-    each drawing and synthesizing its rows into two arrays that the calling
-    thread allocates.  The first set is queued at the call and each later
-    one when the set before it is handed out, so the lane draws at most one
+    Sample blocks are queued as :func:`draw_samples` queues them: the
+    calling thread draws each block of a set (see :func:`_sample_blocks`)
+    and puts only its synthesis on ``lane``, into two arrays that it
+    allocates.  The first set is queued at the call and each later one when
+    the set before it is handed out, so the lane synthesizes at most one
     set ahead of the caller.  Asking for a set waits for its blocks (see
-    :meth:`_TaskLane.wait`); an exception raised by one of them is raised
-    then, at its SNR.
+    :meth:`_TaskLane.wait`); an exception raised by a draw or a synthesis
+    is raised then, at its SNR.
     """
     n = cfg.n_test_samples
 
@@ -510,11 +554,18 @@ def queue_test_sets(lane: _TaskLane, cfg: ExperimentConfig, schedule: SwitchSche
         draw, finish, rows = _sample_blocks(cfg, schedule, snr, cfg.seeds.test, n)
         h = np.empty((n, cfg.num_ports), dtype=complex)
         y = np.empty((n, schedule.num_samples), dtype=complex)
-
-        def block(lo):
-            finish(draw(lo, min(rows, n - lo)), h[lo : lo + rows], y[lo : lo + rows])
-
-        return h, y, lane.submit(functools.partial(block, lo) for lo in range(0, n, rows))
+        futures = []
+        for lo in range(0, n, rows):
+            try:
+                drawn = draw(lo, min(rows, n - lo))
+            except Exception as exc:  # raised when the set is asked for, at its SNR
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+                break
+            futures += lane.submit(
+                [functools.partial(finish, drawn, h[lo : lo + rows], y[lo : lo + rows])]
+            )
+        return h, y, futures
 
     snrs = iter(cfg.snr_db_list)
     queued = [queue(snr) for snr in itertools.islice(snrs, 1)]
@@ -523,8 +574,6 @@ def queue_test_sets(lane: _TaskLane, cfg: ExperimentConfig, schedule: SwitchSche
         while queued:
             h, y, futures = queued.pop()
             lane.wait(futures)
-            for future in futures:
-                future.result()
             queued.extend(queue(snr) for snr in itertools.islice(snrs, 1))
             yield h, y
 

@@ -194,13 +194,14 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
     Expects per-SNR models from ``generate`` + ``train``; with
     ``build_missing`` they are produced on the fly.  Every model is found or
     built before the first test set is drawn, so a missing one fails the
-    sweep at once.  The test sets' blocks and OMP's row blocks are tasks on
-    one :func:`task_lane`: with two CPUs or more its helper thread draws the
-    next SNR's test set and takes OMP blocks while the calling thread scores
-    (see :func:`queue_test_sets` and :func:`omp_estimate`); the bytes written
-    do not depend on it.  Each SNR's channel energy is taken once, and one
-    pair of error buffers serves every estimator's :func:`ensemble_nmse`;
-    neither changes a bit of the result.
+    sweep at once.  The test sets' block syntheses and OMP's row blocks are
+    tasks on one :func:`task_lane`: with two CPUs or more its helper thread
+    synthesizes the next SNR's test set, which this thread draws, and takes
+    OMP blocks while this thread scores (see :func:`queue_test_sets` and
+    :func:`omp_estimate`); the bytes written do not depend on it.  Each
+    SNR's channel energy is taken once, and one pair of error buffers serves
+    every estimator's :func:`ensemble_nmse`; neither changes a bit of the
+    result.
     """
     model_files = [_sweep_model(cfg, snr, build_missing) for snr in cfg.snr_db_list]
     schedule = cfg.build_schedule()
@@ -244,9 +245,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_csv=None, build_missing: bool = False) 
 
 
 def _parse_complex_csv(path) -> np.ndarray:
-    """Complex vector from a two-column (re, im) CSV with optional header."""
+    """Complex vector from a two-column (re, im) CSV with optional header.
+    A UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     values = []
@@ -302,7 +304,8 @@ def load_config(
     cfg = PROFILES[profile]()
     if config_path is not None:
         try:
-            text = Path(config_path).read_text(encoding="utf-8")
+            # utf-8-sig skips a byte-order mark, which json.loads refuses.
+            text = Path(config_path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{config_path}: {exc}") from None
         cfg = ExperimentConfig.from_json(text, base=cfg, source=str(config_path))

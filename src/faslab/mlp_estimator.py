@@ -14,12 +14,13 @@ widened back to float64.  Everything else is float64 whatever the training
 precision: the normalizer statistics, the reported losses and NMSEs, the
 FASM file, and inference through :func:`predict` and :func:`predict_batch`.
 
-Where BLAS runs one thread and a second CPU is free, :func:`train` gives
-one helper thread the second half of each step (see :class:`_GemmLane`):
-the batch rows from a split row on through forward's three layers and
-backward's upstream chain, the second output-row half of the three
-weight-gradient products, and the second half of Adam's flat vector.  No
-element's sum changes, so neither does any byte.
+Where BLAS runs one thread and a second CPU is free, :func:`train` runs a
+lane (:class:`~faslab.dataset_pipeline._TaskLane`) with one helper thread,
+``faslab-gemm``, and hands it the second half of each step through
+:func:`~faslab.dataset_pipeline.both`: the batch rows from a split row on
+through forward's three layers and backward's upstream chain, the second
+output-row half of the three weight-gradient products, and the second half
+of Adam's flat vector.  No element's sum changes, so neither does any byte.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ import hashlib
 import itertools
 import math
 import os
-import queue
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,9 @@ from .dataset_pipeline import (
     Dataset,
     Normalizer,
     _synth_workers,
+    _TaskLane,
     apply_normalizer,
+    both,
     fit_normalizer,
     invert_normalizer,
     pack_complex,
@@ -160,8 +161,8 @@ class ForwardCache:
     to :func:`forward` reuses them: the next pass through the same cache
     overwrites the previous one's output.  :func:`backward` keeps its scratch
     here too.  The buffers take the parameters' dtype.  ``lane`` is None, or
-    during :func:`train` the :class:`_GemmLane` that :func:`forward` and
-    :func:`backward` hand half of their rows to.
+    during :func:`train` the lane whose helper :func:`forward` and
+    :func:`backward` hand half of their rows to (see :func:`both`).
     """
 
     def __init__(self):
@@ -290,7 +291,8 @@ def backward(
     if lane is None or not all(halves):
         _param_grads(products, [slice(None)] * 3, sums)
     else:
-        lane.both(
+        both(
+            lane,
             functools.partial(_param_grads, products, [slice(h) for h in halves], sums),
             functools.partial(_param_grads, products, [slice(h, None) for h in halves]),
         )
@@ -354,7 +356,7 @@ class AdamState:
 
 
 def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, lane: _GemmLane | None = None
+    params: MlpParams, grads: MlpParams, state: AdamState, lane: _TaskLane | None = None
 ):
     """One bias-corrected Adam update, in place; returns (params, state).
 
@@ -365,9 +367,9 @@ def adam_step(
     Every gradient is checked before anything is updated: a non-finite one
     raises ``ValueError`` naming its field and leaves the state untouched.
     The update runs in the dtype that the parameters, gradients and moments
-    share.  Given a :class:`_GemmLane`, it updates the second half of
-    ``flat`` on the lane's helper while this thread updates the first; every
-    element still sees the same operations, so the bytes are the same.
+    share.  Given a lane, it updates the second half of ``flat`` on the
+    lane's helper (see :func:`both`) while this thread updates the first;
+    every element still sees the same operations, so the bytes are the same.
     """
     nets = (params, grads, state.first_moment, state.second_moment)
     if len({(net.dims(), net.flat.dtype) for net in nets}) != 1:
@@ -388,7 +390,8 @@ def adam_step(
         _adam_update(state, state._scratch[0], *vectors)
     else:
         mid = grad.size // 2
-        lane.both(
+        both(
+            lane,
             functools.partial(_adam_update, state, state._scratch[0], *(v[:mid] for v in vectors)),
             functools.partial(_adam_update, state, state._scratch[1], *(v[mid:] for v in vectors)),
         )
@@ -632,55 +635,6 @@ _SPLIT_ROWS = 16
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-class _GemmLane:
-    """One helper thread, ``faslab-gemm``, that takes half of training's work.
-
-    :meth:`both` runs one job on the calling thread while the helper runs
-    another, then waits for the helper.  :func:`forward` and
-    :func:`backward` give it the rows from a split row on (see
-    :func:`_split_row`), and :func:`adam_step` the second half of the flat
-    vector.  Each element is then computed from the same operands in the
-    same order as on one thread, so the result is the same to the bit.
-    The helper's jobs do numpy work only: faslab's public functions run on
-    the calling thread, strictly nested.  An exception raised on the helper is
-    raised again by :meth:`both`.
-    """
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        self._done = queue.SimpleQueue()
-        # A daemon, so that a lane left open cannot hold the interpreter at
-        # exit; train() joins it whatever happens.
-        self._thread = threading.Thread(target=self._serve, name="faslab-gemm", daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        for job in iter(self._jobs.get, None):
-            try:
-                job()
-            except BaseException as exc:  # raised again on the calling thread
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def both(self, here, there) -> None:
-        """``here()`` on the calling thread while the helper runs ``there()``;
-        returns once both are done."""
-        self._jobs.put(there)
-        try:
-            here()
-        finally:
-            # The helper writes into the caller's arrays: wait for it
-            # whatever happened here.
-            error = self._done.get()
-        if error is not None:
-            raise error
-
-    def close(self) -> None:
-        self._jobs.put(None)
-        self._thread.join()
-
-
 def _split_row(rows: int, *sizes: int) -> int:
     """The row at which a lane splits a chain of products with ``rows``
     output rows each, whose other two dimensions multiply to ``sizes``: a
@@ -692,22 +646,23 @@ def _split_row(rows: int, *sizes: int) -> int:
     return half if all(half * size >= _SPLIT_MIN for size in sizes) else 0
 
 
-def _by_rows(lane: _GemmLane | None, half: int, job, *arrays) -> None:
+def _by_rows(lane: _TaskLane | None, half: int, job, *arrays) -> None:
     """``job(*arrays)``; with a lane and a split row ``half`` other than 0,
     ``job`` over the arrays' rows before ``half`` here and over the rest on
     the lane's helper."""
     if lane is None or half == 0:
         job(*arrays)
     else:
-        lane.both(
+        both(
+            lane,
             functools.partial(job, *(a[:half] for a in arrays)),
             functools.partial(job, *(a[half:] for a in arrays)),
         )
 
 
 def _gemm_lane_on(rows: int, d_in: int, hidden: int, d_out: int) -> bool:
-    """Whether :func:`train` runs a :class:`_GemmLane` for batches of
-    ``rows`` rows through a ``d_in``-``hidden``-``d_out`` net: when
+    """Whether :func:`train` runs a lane with a ``faslab-gemm`` helper for
+    batches of ``rows`` rows through a ``d_in``-``hidden``-``d_out`` net: when
     :func:`_split_row` splits the batch's largest product, the first of
     ``_BLAS_THREAD_VARS`` that is set reads 1 (BLAS leaves the other CPUs
     idle) and :func:`_synth_workers` finds two CPUs or more (in the affinity
@@ -720,27 +675,12 @@ def _gemm_lane_on(rows: int, d_in: int, hidden: int, d_out: int) -> bool:
     )
 
 
-@contextlib.contextmanager
-def _gemm_lane(rows: int, d_in: int, hidden: int, d_out: int):
-    """A context manager giving :func:`train`'s lane: a :class:`_GemmLane`,
-    joined on exit, where :func:`_gemm_lane_on` says so, and None
-    otherwise."""
-    if not _gemm_lane_on(rows, d_in, hidden, d_out):
-        yield None
-        return
-    lane = _GemmLane()
-    try:
-        yield lane
-    finally:
-        lane.close()
-
-
 def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
     """The epochs of :func:`train`: returns the best epoch's flat parameter
     vector, in the compute dtype, and the report.  The parameters,
     gradients, Adam state, forward cache and buffers it builds die with
-    its frame; the thread of its GEMM lane, if it runs one, ends before
-    it returns or raises."""
+    its frame; the ``faslab-gemm`` thread of its lane, if it runs one,
+    ends before it returns or raises."""
     dtype = np.dtype(hyper.compute_dtype)
     feat_nrm, tgt_nrm = normalizers.features, normalizers.targets
     x_val = apply_normalizer(
@@ -777,9 +717,10 @@ def _train_epochs(train_ds, val_ds, normalizers, hyper, rng, shuffle_rng):
     grads = params.zeros_like()
     cache = ForwardCache()
 
+    on = _gemm_lane_on(batch, d_in, hyper.hidden_width, d_out)
+    cache.lane = lane = _TaskLane(["faslab-gemm"]) if on else None
     # The lane's thread is joined when the epochs end, however they end.
-    with _gemm_lane(batch, d_in, hyper.hidden_width, d_out) as lane:
-        cache.lane = lane
+    with contextlib.closing(lane) if on else contextlib.nullcontext():
         for epoch in range(1, hyper.max_epochs + 1):
             perm = shuffle_rng.permutation(n)
             sq_err_sum = 0.0

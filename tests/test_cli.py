@@ -590,8 +590,8 @@ def sweep_lanes(monkeypatch, cpus):
 
 
 class TestSweepLanes:
-    """cmd_sweep scores one SNR while a helper thread draws the next test set
-    and takes OMP row blocks."""
+    """cmd_sweep scores one SNR while a helper thread synthesizes the next
+    test set and takes OMP row blocks."""
 
     def test_missing_last_model_fails_before_any_test_set_is_drawn(
         self, swept_models, tmp_path, monkeypatch
@@ -714,6 +714,45 @@ class TestSweepLanes:
         one_lane = cmd_sweep(swept_models, tmp_path / "one.csv").read_bytes()
         assert started == []
         assert one_lane == two_lanes
+
+
+class TestThreadsAcrossCommands:
+    def test_each_command_starts_its_own_helpers_and_streams_open_on_main(
+        self, tmp_path, monkeypatch
+    ):
+        # Desk widths, which train through the GEMM lane, on two CPUs with one
+        # BLAS thread: generation's 96 rows make six blocks, two synthesis
+        # threads' worth, and the sweep's 32 test rows two blocks per set.
+        cfg = replace(
+            desk_profile(), snr_db_list=[0.0, 10.0], n_train_samples=96, max_epochs=1,
+            n_test_samples=32, dataset_dir=str(tmp_path / "datasets"),
+            model_dir=str(tmp_path / "models"), results_dir=str(tmp_path / "results"),
+        )
+        sweep_lanes(monkeypatch, 2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        started, stream_threads = [], set()
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread.name) or start(thread)
+        )
+        stream = dataset_pipeline._stream
+        monkeypatch.setattr(
+            dataset_pipeline, "_stream",
+            lambda state: stream_threads.add(threading.current_thread()) or stream(state),
+        )
+        commands = (
+            ("faslab-synth_0", lambda: cmd_generate(cfg)),
+            ("faslab-gemm", lambda: [cmd_train(cfg, path) for path in sorted(
+                Path(cfg.dataset_dir).iterdir())]),
+            ("faslab-sweep", lambda: cmd_sweep(cfg)),
+        )
+        for name, command in commands:
+            del started[:]
+            before = threading.enumerate()
+            command()
+            assert threading.enumerate() == before, name
+            assert started and set(started) == {name}, started
+        assert stream_threads == {threading.main_thread()}
 
 
 class TestSweepHoldsOneModel:
@@ -881,6 +920,21 @@ class TestEvalSingle:
         assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
         assert not out.exists()
 
+    def test_pilots_with_a_byte_order_mark_read_as_without(self, swept_models, tmp_path):
+        model_file = experiment_cli.model_path(swept_models, swept_models.snr_db_list[0])
+        rng = np.random.default_rng(124)
+        h = draw_channel(swept_models.scattering(), swept_models.geometry(), rng)
+        obs = observe(h, swept_models.build_schedule(), 1.0, rng)
+        rows = "".join(f"{v.real:.9g},{v.imag:.9g}\n" for v in obs.samples)
+        written = {}
+        for name, prefix in (("plain", ""), ("bom", "\ufeff"), ("bom_no_header", "\ufeff")):
+            pilots = tmp_path / f"{name}.csv"
+            header = "" if name == "bom_no_header" else "re,im\n"
+            pilots.write_text(prefix + header + rows, encoding="utf-8")
+            out = cmd_eval_single(model_file, pilots, tmp_path / f"{name}.out")
+            written[name] = out.read_bytes()
+        assert written["bom"] == written["plain"] == written["bom_no_header"]
+
     def test_wrong_length_rejected(self, tmp_path):
         cfg = micro_config(tmp_path, snr_db_list=[10.0])
         files = cmd_generate(cfg)
@@ -953,6 +1007,14 @@ class TestMainEntry:
             f"error: {cfg_file}: 'utf-8' codec can't decode byte 0xff in position 14: "
             "invalid start byte\n"
         )
+
+    def test_config_with_a_byte_order_mark_loads(self, tmp_path, capsys):
+        cfg_file = tmp_path / "c.json"
+        cfg_file.write_text("\ufeff" + json.dumps({"num_slots": 8}), encoding="utf-8")
+        assert load_config(cfg_file, profile="desk").num_slots == 8
+        rc = main(["show-config", "--profile", "desk", "--config", str(cfg_file)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["num_slots"] == 8
 
     @pytest.mark.parametrize("flag", ["--config", "--dataset", "--model"])
     def test_directory_given_as_input_file_exits_nonzero_naming_it(

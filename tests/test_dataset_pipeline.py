@@ -397,6 +397,42 @@ EDGE_KEYS = [
 EDGE_INDICES = [0, 1, 2**32 - 1]
 
 
+class TestTaskLane:
+    def test_stress_every_task_runs_once(self):
+        # Three helpers and a calling thread on the machine's CPUs, handing
+        # off as often as the interpreter lets them.  Each round queues ten
+        # tasks behind and ten ahead, hands off once through both(), then
+        # waits for the twenty while the calling thread runs some of them.
+        lane = dataset_pipeline._TaskLane([f"faslab-stress_{i}" for i in range(3)])
+        ran, rounds, pairs = [], [], []
+        deadline = time.monotonic() + 1.5
+
+        def caller():
+            while time.monotonic() < deadline:
+                ids = range(20 * len(rounds), 20 * len(rounds) + 20)
+                tasks = [lambda i=i: ran.append(i) for i in ids]
+                futures = lane.submit(tasks[:10]) + lane.submit(tasks[10:], front=True)
+                pair = []
+                dataset_pipeline.both(lane, lambda: pair.append(1), lambda: pair.append(2))
+                pairs.append(sorted(pair))
+                lane.wait(futures)
+                rounds.append(all(future.done() for future in futures))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=caller, daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        lane.close()
+        assert rounds and all(rounds) and pairs == [[1, 2]] * len(rounds)
+        assert sorted(ran) == list(range(20 * len(rounds)))
+        assert not any(helper.is_alive() for helper in lane._threads)
+
+
 class TestSampleStream:
     """sample_stream and draw_samples' per-row seeding are default_rng's
     streams, without building a SeedSequence per row."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from faslab import mlp_estimator
-from faslab.dataset_pipeline import Dataset, Normalizer, fit_normalizer
+from faslab.dataset_pipeline import Dataset, Normalizer, _TaskLane, fit_normalizer
 from faslab.errors import ChecksumError, FileFormatError, TrainingDivergedError
 from faslab.mlp_estimator import (
     AdamState,
@@ -456,7 +456,7 @@ class TestAdamStep:
         sizes = [init_params(*d, np.random.default_rng(0)).flat.size for d in dims]
         assert sizes == [6, 17, block - 1, block, block + 1, 131_712, 787_968]
         rng = np.random.default_rng(27)
-        lane = mlp_estimator._GemmLane()
+        lane = gemm_lane()
         try:
             for d in dims:
                 start = random_net(*d, 28)
@@ -479,7 +479,7 @@ class TestAdamStep:
                         (states[0].second_moment, states[1].second_moment),
                     ):
                         assert np.array_equal(split.flat, whole.flat), d
-            assert lane._thread.is_alive()
+            assert lane._threads[0].is_alive()
         finally:
             lane.close()
 
@@ -494,7 +494,7 @@ class TestAdamStep:
         state = AdamState.for_params(p, 1e-3)
         grads = p.zeros_like()
         grads.flat[...] = np.random.default_rng(30).standard_normal(grads.flat.size)
-        lane = mlp_estimator._GemmLane()
+        lane = gemm_lane()
         try:
             adam_step(p, grads, state, lane)
             before = [net.flat.copy() for net in (p, state.first_moment, state.second_moment)]
@@ -504,7 +504,7 @@ class TestAdamStep:
             assert state.step_count == 1
             for net, kept in zip((p, state.first_moment, state.second_moment), before):
                 assert np.array_equal(net.flat, kept)
-            assert lane._thread.is_alive()
+            assert lane._threads[0].is_alive()
         finally:
             lane.close()
 
@@ -907,6 +907,11 @@ def paper_dataset(n, seed):
     return toy_dataset(n, width_in=512, width_out=512, seed=seed)
 
 
+def gemm_lane():
+    """A task lane with train()'s one helper thread, ``faslab-gemm``."""
+    return _TaskLane(["faslab-gemm"])
+
+
 def gemm_threads():
     return [t for t in threading.enumerate() if t.name == "faslab-gemm"]
 
@@ -928,9 +933,9 @@ def whole_step(start, x, target, lane):
 
 def counted_lane(jobs):
     """A started GEMM lane that appends each job it hands its helper to ``jobs``."""
-    lane = mlp_estimator._GemmLane()
-    put = lane._jobs.put
-    lane._jobs = SimpleNamespace(put=lambda job: (job is None or jobs.append(job), put(job)))
+    lane = gemm_lane()
+    put = lane._wakes.put
+    lane._wakes = SimpleNamespace(put=lambda job: (job is None or jobs.append(job), put(job)))
     return lane
 
 
@@ -1087,14 +1092,14 @@ class TestGemmLane:
         monkeypatch.setattr(np, "matmul", matmul)
         p = random_net(512, 512, 512, 80)
         cache = ForwardCache()
-        lane = cache.lane = mlp_estimator._GemmLane()
+        lane = cache.lane = gemm_lane()
         try:
             with pytest.raises(FloatingPointError, match="on the helper"):
                 forward(p, np.ones((256, 512)), cache)
-            assert lane._thread.is_alive()
+            assert lane._threads[0].is_alive()
         finally:
             lane.close()
-        assert not lane._thread.is_alive()
+        assert not lane._threads[0].is_alive()
         # Through train(): the error ends training, and the thread with it.
         monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims: True)
         hyper = Hyperparams(
@@ -1128,7 +1133,7 @@ class TestGemmLane:
         deadline = time.monotonic() + 1.5
 
         def caller():
-            lane = mlp_estimator._GemmLane()
+            lane = gemm_lane()
             try:
                 while time.monotonic() < deadline:
                     for start, x, target, expected in cases:
@@ -1174,13 +1179,13 @@ class TestGemmLane:
 
     def test_train_hands_off_four_times_a_step(self, monkeypatch):
         calls = []
+        real_both = mlp_estimator.both
 
-        class CountedLane(mlp_estimator._GemmLane):
-            def both(self, here, there):
-                calls.append(threading.current_thread().name)
-                return super().both(here, there)
+        def counted_both(lane, here, there):
+            calls.append(threading.current_thread().name)
+            return real_both(lane, here, there)
 
-        monkeypatch.setattr(mlp_estimator, "_GemmLane", CountedLane)
+        monkeypatch.setattr(mlp_estimator, "both", counted_both)
         monkeypatch.setattr(mlp_estimator, "_gemm_lane_on", lambda *dims: True)
         hyper = Hyperparams(
             hidden_width=512, learning_rate=1e-4, batch_size=256, max_epochs=1, patience=0,
@@ -1228,13 +1233,13 @@ class TestGemmLane:
         monkeypatch.setattr(mlp_estimator.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         started = []
-        real_init = mlp_estimator._GemmLane.__init__
+        real_init = _TaskLane.__init__
 
-        def init(lane):
-            real_init(lane)
-            started.append(lane._thread)
+        def init(lane, helpers=()):
+            real_init(lane, helpers)
+            started.extend(lane._threads)
 
-        monkeypatch.setattr(mlp_estimator._GemmLane, "__init__", init)
+        monkeypatch.setattr(_TaskLane, "__init__", init)
         return started
 
     def test_desk_training_starts_one_thread(self, monkeypatch):
